@@ -164,18 +164,21 @@ def validate_leaky_bucket(trace, rho: float, b: int):
     injections <= rho * (t2 - t1 + 1) + b, else the first violating window,
     ordered by its end round and then by its start round.
     """
-    # With D(t) = sum(trace[:t]) - rho*t, window [t1, t2] violates iff
-    # D(t2) - D(t1 - 1) > b; scanning end rounds against the running prefix
-    # minimum finds the earliest violating end in one pass.
-    d = 0.0
-    running_min = 0.0
-    prefix = [0.0]
+    # With rho = num/den exactly and D(t) = den*sum(trace[:t]) - num*t, window
+    # [t1, t2] violates iff D(t2) - D(t1 - 1) > den*b. All terms are integers,
+    # so the comparison is exact; scanning end rounds against the running
+    # prefix minimum finds the earliest violating end in one pass.
+    num, den = rho.as_integer_ratio()
+    bound = den * b
+    d = 0
+    running_min = 0
+    prefix = [0]
     for t2, count in enumerate(trace, start=1):
-        d += count - rho
+        d += den * count - num
         prefix.append(d)
-        if d - running_min > b:
+        if d - running_min > bound:
             for t1 in range(1, t2 + 1):
-                if d - prefix[t1 - 1] > b:
+                if d - prefix[t1 - 1] > bound:
                     return (t1, t2)
         if d < running_min:
             running_min = d

@@ -46,9 +46,11 @@ def render_csv(results) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_FIELDS) + "\n")
     for result in results:
-        if result.injected != result.delivered + result.queued_total:
+        queued = sum(result.final_queues)
+        if queued != result.queued_total or queued != result.injected - result.delivered:
             raise SimulationError(
-                f"row for seed {result.config.seed}: injected != delivered + queued")
+                f"row for seed {result.config.seed}: final queues hold {queued} packets, "
+                f"injected - delivered = {result.injected - result.delivered}")
         out.write(",".join(_fmt(v) for v in _csv_row(result)) + "\n")
     return out.getvalue()
 
@@ -126,7 +128,10 @@ def _default_seed():
 
 def _cmd_run(args) -> int:
     doc = _load_json(args.config)
-    seed = args.seed if args.seed is not None else _default_seed()
+    # --seed beats the config's "seed", which beats the environment default.
+    seed = args.seed
+    if seed is None and isinstance(doc, dict) and "seed" not in doc:
+        seed = _default_seed()
     if seed is not None and isinstance(doc, dict):
         doc["seed"] = seed
     config = validate_config(doc)
@@ -139,10 +144,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}", "jobs")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     doc = _load_json(args.config)
     cells = list(expand_sweep(doc))
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_run_cell, cells)
     else:
         results = [run_simulation(c) for c in cells]
@@ -201,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a (n, rho, seed) grid to CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, at most the number of CPUs")
 
     p_sel = sub.add_parser("selector", help="selector family tools")
     sel_sub = p_sel.add_subparsers(dest="selector_command", required=True)

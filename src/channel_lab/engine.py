@@ -3,8 +3,10 @@ accounting, queue updates, and conservation checking.
 
 Each round runs in a fixed order: the adversary injects, switched-on stations
 act, the channel resolves to silence / one delivery / collision, feedback goes
-back to the on-mode stations, and the restrain limit plus the packet
-conservation identity are asserted.
+back to the on-mode stations, and the restrain limit is asserted. Whenever the
+loop stops (at the end of a run, at a checkpoint, after a single step) the
+queues are checked against the packet count: they must sum to the packets
+injected and not yet delivered, and none may be negative.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from .core import (
     RestrainViolation, SimConfig, SimulationError, derive_stream, single,
     validate_config,
 )
-from .metrics import MetricsAccumulator, MetricsSummary, metrics_update
+# The loop folds metrics itself. metrics_update stays importable from here
+# because perfbench/tracer.py wraps engine.metrics_update by name.
+from .metrics import MetricsAccumulator, MetricsSummary, metrics_update  # noqa: F401
 from .protocols import make_system
 
 
@@ -46,27 +50,6 @@ class SimResult:
     reports: tuple = ()
 
 
-def resolve_channel(attempts) -> ChannelObservation:
-    """0 attempts -> silence, 1 -> that single transmission, >= 2 -> collision."""
-    if not attempts:
-        return SILENCE
-    if len(attempts) == 1:
-        sid, bits = attempts[0]
-        return single(sid, bits)
-    return COLLISION
-
-
-def restrain_check(actions, limit):
-    """Count on-mode actions against the limit; None when within it."""
-    if isinstance(actions, int):
-        count = actions
-    else:
-        count = sum(1 for a in actions if a.kind != "off")
-    if limit is not None and count > limit:
-        return RestrainViolation(0, count, limit)
-    return None
-
-
 class Engine:
     """One simulation world; single-threaded, deterministic in the seed."""
 
@@ -80,13 +63,17 @@ class Engine:
             distribution=make_distribution(config.distribution, config.n),
         )
         self.rng_adversary = derive_stream(config.seed, "adversary")
+        # Observations are immutable, so a plain delivery by station i is
+        # always the same object: index i of this list.
+        self.plain_singles = [None] + [single(sid) for sid in range(1, config.n + 1)]
         self.acc = MetricsAccumulator(config.n)
         self.round = 0
         self.injected = sum(config.initial_queues)
         self.delivered = 0
         self.queued_total = self.injected
         self.collisions = 0
-        self.cycle_collisions = 0
+        self.cycle = 0               # cycle (rounds cn+1 .. cn+n) of the last collision
+        self.cycle_collisions = 0    # collisions seen in that cycle
         self.max_cycle_collisions = 0
         self.max_on_mode = 0
         self.checkpoint_rounds = frozenset(checkpoint_rounds)
@@ -102,85 +89,155 @@ class Engine:
         else:
             self.limit = min(limit, declared)
 
-    def step(self) -> RoundReport:
-        """Advance one round and report what happened on the channel."""
-        self.round += 1
-        r = self.round
+    def _advance(self, stop: int, reports=None) -> None:
+        """Play rounds self.round + 1 .. stop; the only implementation of a round.
+
+        Counters, metric sums and the protocol's bound methods live in locals
+        while the loop runs and are written back when it reaches `stop`. When
+        `reports` is a list, one RoundReport per round is appended to it. A
+        SimulationError leaves the engine mid-round; it cannot be resumed.
+        """
+        start = self.round
+        if stop <= start:
+            return
         queues = self.queues
         system = self.system
+        actions = system.actions
+        finish_round = system.finish_round if system.wants_feedback else None
+        note_injections = system.note_injections if system.wants_injection_notes else None
+        need_obs = finish_round is not None or reports is not None
+        plain_singles = self.plain_singles
+        step_adversary = adversary_step
+        adversary = self.adversary
+        rng = self.rng_adversary
+        limit = self.limit
+        n = self.n
+        injected = self.injected
+        delivered = self.delivered
+        total = self.queued_total
+        collisions = self.collisions
+        cycle = self.cycle
+        cycle_collisions = self.cycle_collisions
+        max_cycle_collisions = self.max_cycle_collisions
+        max_on_mode = self.max_on_mode
+        acc = self.acc
+        max_max = acc.max_max
+        sum_max = acc.sum_max
+        max_total = acc.max_total
+        sum_total = acc.sum_total
+        on_mode_sum = acc.on_mode_sum
+        round_max = max(queues)
 
-        injections = adversary_step(self.adversary, r, self.rng_adversary)
-        injected_now = 0
-        if injections:
-            for sid, count in injections.items():
-                queues[sid - 1] += count
-                injected_now += count
-            self.injected += injected_now
-            self.queued_total += injected_now
-            if system.wants_injection_notes:
-                system.note_injections(injections)
+        for r in range(start + 1, stop + 1):
+            injections = step_adversary(adversary, r, rng)
+            injected_now = 0
+            if injections:
+                for sid, count in injections.items():
+                    q = queues[sid - 1] + count
+                    queues[sid - 1] = q
+                    if q > round_max:
+                        round_max = q
+                    injected_now += count
+                injected += injected_now
+                total += injected_now
+                if note_injections is not None:
+                    note_injections(injections)
 
-        attempts, on_count = system.actions(r, queues)
-        n_attempts = len(attempts)
-        if n_attempts == 0:
-            obs = SILENCE
-            success = None
-            delivered_now = False
-        elif n_attempts == 1:
-            sid, bits = attempts[0]
-            if queues[sid - 1] <= 0:
-                raise ProtocolInvariantBroken(
-                    f"round {r}: station {sid} transmitted with an empty queue")
-            queues[sid - 1] -= 1
-            self.delivered += 1
-            self.queued_total -= 1
-            obs = single(sid, bits)
-            success = sid
-            delivered_now = True
-        else:
-            for sid, _ in attempts:
-                if queues[sid - 1] <= 0:
+            attempts, on_count = actions(r, queues)
+            n_attempts = len(attempts)
+            if n_attempts == 1:
+                sid, bits = attempts[0]
+                q = queues[sid - 1]
+                if q <= 0:
                     raise ProtocolInvariantBroken(
                         f"round {r}: station {sid} transmitted with an empty queue")
-            obs = COLLISION
-            success = None
-            delivered_now = False
-            self.collisions += 1
-            self.cycle_collisions += 1
+                queues[sid - 1] = q - 1
+                delivered += 1
+                total -= 1
+                if q == round_max and q not in queues:
+                    round_max = q - 1   # this station alone held the max
+                success = sid
+                if not need_obs:
+                    obs = None
+                elif bits is None:
+                    obs = plain_singles[sid]
+                else:
+                    obs = single(sid, bits)
+            elif n_attempts == 0:
+                success = None
+                obs = SILENCE
+            else:
+                for sid, _ in attempts:
+                    if queues[sid - 1] <= 0:
+                        raise ProtocolInvariantBroken(
+                            f"round {r}: station {sid} transmitted with an empty queue")
+                success = None
+                obs = COLLISION
+                collisions += 1
+                if (r - 1) // n != cycle:
+                    cycle = (r - 1) // n
+                    cycle_collisions = 0
+                cycle_collisions += 1
+                if cycle_collisions > max_cycle_collisions:
+                    max_cycle_collisions = cycle_collisions
 
-        if system.wants_feedback:
-            system.finish_round(r, obs, success, queues)
+            if finish_round is not None:
+                finish_round(r, obs, success, queues)
 
-        limit = self.limit
-        if on_count > self.max_on_mode:
-            self.max_on_mode = on_count
-        if limit is not None and on_count > limit:
-            raise RestrainViolation(r, on_count, limit)
-        if self.injected != self.delivered + self.queued_total:
+            if on_count > max_on_mode:
+                max_on_mode = on_count
+            if limit is not None and on_count > limit:
+                raise RestrainViolation(r, on_count, limit)
+
+            if round_max > max_max:
+                max_max = round_max
+            sum_max += round_max
+            if total > max_total:
+                max_total = total
+            sum_total += total
+            on_mode_sum += on_count
+            if reports is not None:
+                reports.append(RoundReport(obs, on_count, injected_now, n_attempts == 1))
+
+        acc.rounds += stop - start
+        acc.max_max = max_max
+        acc.sum_max = sum_max
+        acc.max_total = max_total
+        acc.sum_total = sum_total
+        acc.on_mode_sum = on_mode_sum
+        acc.collisions += collisions - self.collisions
+        self.round = stop
+        self.injected = injected
+        self.delivered = delivered
+        self.queued_total = total
+        self.collisions = collisions
+        self.cycle = cycle
+        self.cycle_collisions = cycle_collisions
+        self.max_cycle_collisions = max_cycle_collisions
+        self.max_on_mode = max_on_mode
+
+        queued = sum(queues)
+        if queued != total or min(queues) < 0:
             raise SimulationError(
-                f"round {r}: conservation broken "
-                f"({self.injected} != {self.delivered} + {self.queued_total})")
+                f"round {stop}: conservation broken (queues hold {queued} packets, "
+                f"lowest {min(queues)}; {injected} injected - {delivered} delivered "
+                f"= {total})")
+        if stop in self.checkpoint_rounds:
+            self.checkpoints.append((stop, acc.snapshot()))
 
-        metrics_update(self.acc, queues, on_count,
-                       collision=n_attempts >= 2, total=self.queued_total)
-        if r % self.n == 0:
-            if self.cycle_collisions > self.max_cycle_collisions:
-                self.max_cycle_collisions = self.cycle_collisions
-            self.cycle_collisions = 0
-        if r in self.checkpoint_rounds:
-            self.checkpoints.append((r, self.acc.snapshot()))
-
-        report = RoundReport(obs, on_count, injected_now, delivered_now)
-        if self.collect_reports:
-            self.reports.append(report)
-        return report
+    def step(self) -> RoundReport:
+        """Advance one round and report what happened on the channel."""
+        reports = self.reports if self.collect_reports else []
+        self._advance(self.round + 1, reports)
+        return reports[-1]
 
     def run(self) -> SimResult:
-        step = self.step
-        for _ in range(self.config.rounds - self.round):
-            step()
-        if self.cycle_collisions > self.max_cycle_collisions:
-            self.max_cycle_collisions = self.cycle_collisions
+        rounds = self.config.rounds
+        reports = self.reports if self.collect_reports else None
+        for checkpoint in sorted(self.checkpoint_rounds):
+            if checkpoint <= rounds:
+                self._advance(checkpoint, reports)
+        self._advance(rounds, reports)
         return SimResult(
             config=self.config,
             injected=self.injected,
@@ -194,11 +251,6 @@ class Engine:
             checkpoints=tuple(self.checkpoints),
             reports=tuple(self.reports),
         )
-
-
-def run_round(engine: Engine) -> RoundReport:
-    """Advance an engine one round; the engine is the mutable world state."""
-    return engine.step()
 
 
 def run_simulation(config, *, checkpoint_rounds=(), collect_reports=False) -> SimResult:

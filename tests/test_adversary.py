@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from channel_lab.adversary import (
@@ -106,7 +106,9 @@ class TestFocusedDistribution:
 
 
 def brute_force_leaky_bucket(trace, rho, b):
-    """Quadratic reference: first violating window by (end, start) order."""
+    """Quadratic reference in exact arithmetic: first violating window by
+    (end, start) order."""
+    rho = Fraction(rho)
     prefix = [0]
     for v in trace:
         prefix.append(prefix[-1] + v)
@@ -124,6 +126,10 @@ class TestLeakyBucket:
     def test_all_zero_trace_ok(self):
         assert validate_leaky_bucket([0] * 50, 0.1, 1) is None
 
+    def test_window_at_float_rounding_edge(self):
+        assert validate_leaky_bucket([0, 0, 0, 3], 0.9999999999999999, 1) == (3, 4)
+        assert validate_leaky_bucket([0, 0, 0, 3], 1.0, 1) == (4, 4)
+
     def test_single_spike_within_burstiness(self):
         assert validate_leaky_bucket([5], 0.5, 5) is None
         assert validate_leaky_bucket([7], 0.5, 5) == (1, 1)
@@ -132,6 +138,8 @@ class TestLeakyBucket:
            st.floats(min_value=0.05, max_value=1.0),
            st.integers(min_value=0, max_value=6))
     @settings(max_examples=200, deadline=None)
+    # 3 > 2*rho + 1 exactly, although 2*rho + 1 rounds to 3.0 in floats.
+    @example(trace=[0, 0, 0, 3], rho=0.9999999999999999, b=1)
     def test_matches_brute_force(self, trace, rho, b):
         assert validate_leaky_bucket(trace, rho, b) == brute_force_leaky_bucket(trace, rho, b)
 

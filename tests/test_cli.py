@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -6,6 +9,7 @@ from channel_lab import selectors
 from channel_lab.cli import (
     CSV_FIELDS, dispatch, emit_csv, expand_sweep, render_csv, sweep_size,
 )
+from channel_lab.core import SimulationError
 from channel_lab.engine import run_simulation
 
 
@@ -68,6 +72,20 @@ class TestRunCommand:
         row = capsys.readouterr().out.strip().split("\n")[1]
         assert row.split(",")[CSV_FIELDS.index("seed")] == "77"
 
+    def test_config_seed_beats_env_var(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, seed=5)
+        monkeypatch.setenv("CHANNEL_LAB_SEED", "99")
+        assert dispatch(["run", "--config", str(path)]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert row.split(",")[CSV_FIELDS.index("seed")] == "5"
+
+    def test_seed_option_beats_config_and_env_var(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, seed=5)
+        monkeypatch.setenv("CHANNEL_LAB_SEED", "99")
+        assert dispatch(["run", "--config", str(path), "--seed", "9"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert row.split(",")[CSV_FIELDS.index("seed")] == "9"
+
 
 class TestEmitCsv:
     def run_result(self, **overrides):
@@ -90,6 +108,13 @@ class TestEmitCsv:
         text = render_csv([self.run_result(rho=0.123456789)])
         row = text.strip().split("\n")[1]
         assert row.split(",")[CSV_FIELDS.index("rho")] == "0.123457"
+
+    def test_queues_that_do_not_balance_are_refused(self):
+        result = self.run_result(rho=0.9)
+        queues = list(result.final_queues)
+        queues[0] += 1
+        with pytest.raises(SimulationError, match="final queues"):
+            render_csv([dataclasses.replace(result, final_queues=tuple(queues))])
 
     def test_unbounded_restrain_spelled_out(self):
         text = render_csv([self.run_result(protocol="backoff(linear)")])
@@ -120,6 +145,42 @@ class TestSweep:
         dispatch(["sweep", "--config", str(path), "--out", str(parallel),
                   "--jobs", "3"])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc()))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out),
+                         "--jobs", "0"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_clamped_to_cpu_count(self, tmp_path, monkeypatch):
+        # The pool is faked: no worker process is started.
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc()))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out),
+                         "--jobs", "64"]) == 0
+        assert started == [2]
+        assert len(out.read_text().strip().split("\n")) == 1 + 6
 
     def test_seed_count_shorthand(self):
         cells = list(expand_sweep(self.sweep_doc(seeds=4)))

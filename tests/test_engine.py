@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import pytest
 
 from channel_lab.core import (
-    LISTEN, OFF, TRANSMIT, BITS_BIG, ProtocolInvariantBroken, RestrainViolation,
-    validate_config,
+    BITS_BIG, ProtocolInvariantBroken, RestrainViolation, SimulationError,
 )
-from channel_lab.engine import Engine, resolve_channel, restrain_check, run_round, run_simulation
+from channel_lab.engine import Engine, run_simulation
+from channel_lab.metrics import MetricsAccumulator, metrics_update
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def config(**overrides):
@@ -13,37 +17,72 @@ def config(**overrides):
     return doc
 
 
+class ScriptedSystem:
+    """Protocol stand-in that makes the same attempts every round."""
+
+    wants_feedback = False
+    wants_injection_notes = False
+    declared = None
+
+    def __init__(self, attempts, on_count=None):
+        self.attempts = attempts
+        self.on_count = len(attempts) if on_count is None else on_count
+
+    def actions(self, round_no, queues):
+        return list(self.attempts), self.on_count
+
+
+def scripted_engine(attempts, on_count=None, *, limit=None, queues=(0,) * 8, **overrides):
+    """An engine with no injections whose protocol is replaced by a script."""
+    eng = Engine(config(distribution={"plan": []}, initial_queues=list(queues), **overrides))
+    eng.system = ScriptedSystem(attempts, on_count)
+    eng.limit = limit
+    return eng
+
+
 class TestResolveChannel:
     def test_no_attempts_is_silence(self):
-        assert resolve_channel([]).kind == "silence"
+        assert scripted_engine([]).step().observation.kind == "silence"
 
     def test_single_attempt_carries_sender_and_bits(self):
-        obs = resolve_channel([(3, None)])
+        queues = (0, 1, 1, 0, 0, 0, 0, 0)
+        report = scripted_engine([(3, None)], queues=queues).step()
+        obs = report.observation
         assert obs.kind == "single" and obs.sender == 3
-        obs = resolve_channel([(2, BITS_BIG)])
-        assert obs.bits is BITS_BIG
+        assert report.delivered
+        report = scripted_engine([(2, BITS_BIG)], queues=queues).step()
+        assert report.observation.bits is BITS_BIG
 
     def test_two_attempts_collide(self):
-        assert resolve_channel([(1, None), (2, None)]).kind == "collision"
+        eng = scripted_engine([(1, None), (2, None)], queues=(1, 1, 0, 0, 0, 0, 0, 0))
+        report = eng.step()
+        assert report.observation.kind == "collision" and not report.delivered
+        assert eng.collisions == 1 and eng.queues[:2] == [1, 1]
 
 
 class TestRestrainCheck:
     def test_two_on_mode_within_limit_two(self):
-        assert restrain_check([TRANSMIT, LISTEN, OFF], 2) is None
+        eng = scripted_engine([], on_count=2, limit=2)
+        assert eng.step().on_mode == 2
+        assert eng.max_on_mode == 2
 
     def test_three_on_mode_violates_limit_two(self):
-        violation = restrain_check([TRANSMIT, LISTEN, LISTEN], 2)
-        assert isinstance(violation, RestrainViolation)
-        assert violation.count == 3
+        eng = scripted_engine([], on_count=3, limit=2)
+        with pytest.raises(RestrainViolation) as excinfo:
+            eng.step()
+        assert excinfo.value.count == 3 and excinfo.value.round == 1
 
     def test_unbounded_always_ok(self):
-        assert restrain_check([TRANSMIT] * 50, None) is None
+        eng = scripted_engine([], on_count=50, limit=None)
+        for _ in range(5):
+            eng.step()
+        assert eng.max_on_mode == 50
 
 
 class TestRunRound:
     def test_round_report_fields(self):
         eng = Engine(config(rho=1.0, p=1.0, protocol="state_aware"))
-        report = run_round(eng)
+        report = eng.step()
         assert report.injections == 1
         assert report.on_mode in (0, 1)
 
@@ -64,19 +103,80 @@ class TestRunRound:
         assert stations[0].attempts == 1 and stations[1].attempts == 1
 
     def test_empty_queue_transmission_is_flagged(self):
-        class LyingSystem:
-            wants_feedback = False
-            wants_injection_notes = False
-            declared = None
+        eng = scripted_engine([(1, None)])
+        with pytest.raises(ProtocolInvariantBroken, match="round 1: station 1"):
+            eng.step()
 
+    def test_empty_queue_in_a_collision_is_flagged(self):
+        eng = scripted_engine([(1, None), (2, None)], queues=(1, 0, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(ProtocolInvariantBroken, match="station 2"):
+            eng.step()
+
+
+class DrainingSystem(ScriptedSystem):
+    """Breaks conservation: takes a packet out of the queues it is handed."""
+
+    def actions(self, round_no, queues):
+        queues[0] -= 1
+        return [], 0
+
+
+class TestConservationCheck:
+    def test_mutating_queues_is_caught_by_run(self):
+        eng = Engine(config(rounds=50, initial_queues=[5] * 8))
+        eng.system = DrainingSystem([])
+        with pytest.raises(SimulationError, match="conservation broken"):
+            eng.run()
+
+    def test_mutating_queues_is_caught_by_step(self):
+        eng = Engine(config(distribution={"plan": []}, initial_queues=[5] * 8))
+        eng.system = DrainingSystem([])
+        with pytest.raises(SimulationError, match="round 1: conservation broken"):
+            eng.step()
+
+    def test_negative_queue_is_caught_even_when_the_sum_matches(self):
+        class Shifting(ScriptedSystem):
             def actions(self, round_no, queues):
-                return [(1, None)], 1
+                queues[0] -= 1
+                queues[1] += 1
+                return [], 0
 
         eng = Engine(config(distribution={"plan": []}))
-        eng.system = LyingSystem()
-        eng.limit = None
-        with pytest.raises(ProtocolInvariantBroken):
+        eng.system = Shifting([])
+        with pytest.raises(SimulationError, match="lowest -1"):
             eng.step()
+
+
+FOLD_CASES = {
+    "adaptive": ("adaptive", {}),
+    "fullsensing_preloaded": ("fullsensing", {"distribution": "flat",
+                                              "initial_queues": [30] * 8}),
+    "fullsensing_mod": ("fullsensing_mod(2)", {}),
+    "round_robin": ("round_robin", {}),
+    "round_robin_preloaded": ("round_robin", {"initial_queues": [0, 0, 0, 40, 0, 0, 0, 0]}),
+    "backoff_exponential": ("backoff(exponential)", {}),
+    "backoff_square": ("backoff(square)", {"rho": 0.5}),
+    "state_aware": ("state_aware", {}),
+    "interleaved": (f"interleaved({DATA / 'families_8.json'})", {}),
+}
+
+
+class TestMetricFold:
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_running_sums_match_the_reference_fold(self, case):
+        # metrics_update recomputes max and sum of the queues every round;
+        # the engine keeps them incrementally and must agree both when
+        # stepped round by round and over one long stretch.
+        protocol, extra = FOLD_CASES[case]
+        doc = config(**{"protocol": protocol, "rho": 0.9, "rounds": 3000, **extra})
+        eng = Engine(doc)
+        ref = MetricsAccumulator(eng.n)
+        for _ in range(doc["rounds"]):
+            report = eng.step()
+            metrics_update(ref, eng.queues, report.on_mode,
+                           collision=report.observation.kind == "collision")
+        assert eng.acc.snapshot() == ref.snapshot()
+        assert run_simulation(doc).metrics == ref.snapshot()
 
 
 class TestRunSimulation:
@@ -102,11 +202,13 @@ class TestRunSimulation:
         assert result.injected == 16 and result.queued_total == 16
 
     def test_conservation_at_every_round(self):
-        # The engine asserts the identity each round; this drives the slow path
-        # with reports on and re-checks the final balance.
+        # Drives the loop with reports on and checks the final balance against
+        # the queues themselves, not only against the counters.
         result = run_simulation(config(protocol="backoff(linear)", rounds=5000),
                                 collect_reports=True)
         assert result.injected == result.delivered + result.queued_total
+        assert sum(result.final_queues) == result.queued_total
+        assert len(result.reports) == 5000
         assert sum(r.injections for r in result.reports) == result.injected
 
     def test_determinism_of_report_stream(self):
@@ -119,6 +221,17 @@ class TestRunSimulation:
         result = run_simulation(config(rounds=2000), checkpoint_rounds=[500, 1500])
         assert [r for r, _ in result.checkpoints] == [500, 1500]
         assert result.checkpoints[0][1].rounds == 500
+
+    def test_checkpoints_and_reports_together(self):
+        result = run_simulation(config(rounds=2000), collect_reports=True,
+                                checkpoint_rounds=[2000, 500, 1500, 5000])
+        assert [r for r, _ in result.checkpoints] == [500, 1500, 2000]
+        assert len(result.reports) == 2000
+        assert result.checkpoints[-1][1] == result.metrics
+        stepped = Engine(config(rounds=2000), checkpoint_rounds=[500])
+        for _ in range(600):
+            stepped.step()
+        assert stepped.checkpoints == [result.checkpoints[0]]
 
     def test_restrain_limit_enforced(self):
         with pytest.raises(RestrainViolation):
