@@ -5,8 +5,9 @@ and the centralized state-aware comparator.
 Stations expose decide(round, queue_len) -> StationAction and
 observe(round, observation, own_ack); decide mutates only transmission-phase
 state, observe is the sole channel-feedback mutator. A per-protocol system
-object drives the stations efficiently (idle stations sit in a wake calendar
-instead of being polled every round).
+object drives the stations without polling them: idle token stations sit in a
+wake calendar, and each backlogged backoff station sits in a slot calendar under
+the one round it drew, so a round costs work only for the stations that act.
 """
 
 from __future__ import annotations
@@ -344,11 +345,16 @@ class BackoffStation:
         self.slot = None
         self.rng = rng
 
+    def draw_slot(self, round_no: int) -> int:
+        """Pick this station's slot in the window that opens at round_no."""
+        self.slot = slot = round_no + self.rng.randrange(backoff_window(self.kind, self.attempts))
+        return slot
+
     def decide(self, round_no: int, queue_len: int) -> StationAction:
         if queue_len <= 0:
             return OFF
         if self.slot is None:
-            self.slot = round_no + self.rng.randrange(backoff_window(self.kind, self.attempts))
+            self.draw_slot(round_no)
         if self.slot == round_no:
             return TRANSMIT
         return OFF
@@ -497,7 +503,14 @@ class InterleavedSystem(ProtocolSystem):
 
 
 class BackoffSystem(ProtocolSystem):
-    """Backoff stations; only stations holding packets are tracked."""
+    """Backoff stations on a slot calendar (slot round -> sids).
+
+    Each backlogged station is filed under the one round it drew and costs
+    nothing in any other round. A station draws when a packet reaches it
+    empty (in that round's actions, since injections are noted first) and,
+    after it transmits, for the next round: on a success that leaves it
+    packets, or on a collision.
+    """
 
     wants_feedback = True
     wants_injection_notes = True
@@ -509,28 +522,50 @@ class BackoffSystem(ProtocolSystem):
             BackoffStation(sid, kind, derive_stream(config.seed, f"backoff.{sid}"))
             for sid in range(1, config.n + 1)
         ]
-        self.pending = {sid for sid, q in enumerate(config.initial_queues, start=1) if q > 0}
-        self._attempted: list[int] = []
+        self.calendar: dict[int, list[int]] = {}   # slot round -> sids
+        self._fresh: list[BackoffStation] = []     # backlogged, slot not drawn yet
+        self._attempted = ()                       # sids that transmitted this round
+        for st, q in zip(self.stations, config.initial_queues):
+            if q > 0:
+                self._book(st, 1)
+
+    def _book(self, st: BackoffStation, round_no: int) -> None:
+        self.calendar.setdefault(st.draw_slot(round_no), []).append(st.sid)
 
     def note_injections(self, injections):
-        self.pending.update(injections)
+        stations = self.stations
+        for sid in injections:
+            st = stations[sid - 1]
+            if st.slot is None:
+                self._fresh.append(st)
 
     def actions(self, round_no: int, queues):
-        attempts = []
-        for sid in sorted(self.pending):
-            if self.stations[sid - 1].decide(round_no, queues[sid - 1]).kind == "transmit":
-                attempts.append((sid, None))
-        self._attempted = [sid for sid, _ in attempts]
-        return attempts, len(attempts)
+        if self._fresh:
+            for st in self._fresh:
+                self._book(st, round_no)
+            self._fresh = []
+        due = self.calendar.pop(round_no, None)
+        if due is None:
+            self._attempted = ()
+            return [], 0
+        due.sort()
+        self._attempted = due
+        return [(sid, None) for sid in due], len(due)
 
     def finish_round(self, round_no, obs, success_sid, queues):
+        if not self._attempted:
+            return
+        stations = self.stations
         if success_sid is not None:
-            self.stations[success_sid - 1].on_success()
-            if queues[success_sid - 1] == 0:
-                self.pending.discard(success_sid)
-        elif len(self._attempted) > 1:
+            st = stations[success_sid - 1]
+            st.on_success()
+            if queues[success_sid - 1] > 0:
+                self._book(st, round_no + 1)
+        else:
             for sid in self._attempted:
-                self.stations[sid - 1].on_failure()
+                st = stations[sid - 1]
+                st.on_failure()
+                self._book(st, round_no + 1)
 
 
 class StateAwareSystem(ProtocolSystem):

@@ -1,11 +1,13 @@
 import pytest
 
 from channel_lab.core import (
-    BITS_BIG, BITS_LAST_BIG, COLLISION, SILENCE, ProtocolInvariantBroken,
-    derive_stream, single, validate_config,
+    BITS_BIG, BITS_LAST_BIG, COLLISION, SILENCE, DistributionSpec,
+    ProtocolInvariantBroken, ProtocolSpec, SimConfig, derive_stream, single,
+    validate_config,
 )
+from channel_lab.engine import Engine
 from channel_lab.protocols import (
-    AdaptiveStation, BackoffStation, FullSensingStation, backoff_window,
+    AdaptiveStation, BackoffStation, BackoffSystem, FullSensingStation, backoff_window,
     build_interleaved_state, interleaved_schedule, round_robin_turn,
     singleton_family, state_aware_choose,
 )
@@ -292,6 +294,82 @@ class TestBackoffStation:
         st.on_failure()
         st.on_success()
         assert st.attempts == 0 and st.slot is None
+
+
+def backoff_config(n=4, kind="exponential", plan=(), initial=None, rounds=100, **overrides):
+    """A backoff run fed by a fixed plan of (round, station, count) injections."""
+    fields = dict(
+        n=n, protocol=ProtocolSpec("backoff", backoff_kind=kind), rho=0.5,
+        rounds=rounds, seed=11, distribution=DistributionSpec("plan", plan=tuple(plan)),
+        initial_queues=tuple(initial or (0,) * n),
+    )
+    fields.update(overrides)
+    return SimConfig(**fields)
+
+
+class TestBackoffSystem:
+    def test_packet_into_empty_station_transmits_in_its_round(self):
+        eng = Engine(backoff_config(plan=[(5, 3, 1)]), collect_reports=True)
+        result = eng.run()
+        kinds = [report.observation.kind for report in result.reports[:5]]
+        assert kinds == ["silence"] * 4 + ["single"]
+        assert result.reports[4].observation.sender == 3
+        assert result.final_queues == (0, 0, 0, 0)
+
+    def test_station_emptied_by_a_success_leaves_the_calendar(self):
+        eng = Engine(backoff_config(plan=[(1, 2, 2), (9, 2, 1)], rounds=12),
+                     collect_reports=True)
+        for _ in range(4):
+            eng.step()
+        system = eng.system
+        assert eng.queues[1] == 0
+        assert system.calendar == {}
+        assert system.stations[1].slot is None
+        reports = eng.run().reports
+        senders = [(r, rep.observation.sender) for r, rep in enumerate(reports, start=1)
+                   if rep.delivered]
+        assert senders == [(1, 2), (2, 2), (9, 2)]
+
+    def test_injection_into_a_booked_station_does_not_draw_again(self):
+        system = BackoffSystem(backoff_config(n=2, initial=(1, 1)))
+        queues = [1, 1]
+        attempts, on_count = system.actions(1, queues)
+        assert attempts == [(1, None), (2, None)] and on_count == 2
+        system.finish_round(1, COLLISION, None, queues)   # both draw in window 2
+        station = system.stations[0]
+        slot, state = station.slot, station.rng.getstate()
+        assert slot in (2, 3)
+        queues[0] += 1
+        system.note_injections({1: 1})
+        system.actions(2, queues)
+        assert station.slot == slot
+        assert station.rng.getstate() == state
+
+    def test_injection_into_an_empty_station_draws_once(self):
+        system = BackoffSystem(backoff_config(n=2))
+        station = system.stations[1]
+        state = station.rng.getstate()
+        system.note_injections({2: 3})
+        assert station.rng.getstate() == state           # drawn in actions, not here
+        attempts, _ = system.actions(7, [0, 3])
+        assert attempts == [(2, None)] and station.slot == 7
+        reference = derive_stream(11, "backoff.2")
+        reference.randrange(1)                           # window(0) = 1 still draws
+        assert station.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("kind", ["exponential", "linear", "square"])
+    def test_single_station_sends_whenever_it_holds_a_packet(self, kind):
+        config = backoff_config(n=1, kind=kind, rho=0.7, rounds=3000,
+                                distribution=DistributionSpec("flat"))
+        result = Engine(config, collect_reports=True).run()
+        assert result.collisions == 0
+        queue = 0
+        for report in result.reports:
+            queue += report.injections
+            assert report.delivered == (queue > 0)
+            queue -= report.delivered
+        assert result.final_queues == (queue,)
+        assert result.delivered > 1000
 
 
 class TestStateAwareChoose:
