@@ -1,18 +1,24 @@
 """Command-line entry point: run one simulation, sweep a parameter grid, and
 generate or verify selector families. Results are written as CSV that is
-byte-stable across repeated invocations."""
+byte-stable across repeated invocations; a sweep writes each row as soon as
+its cell and every cell before it have finished."""
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import multiprocessing
 import os
 import sys
+from dataclasses import dataclass, field, replace
 
 from . import selectors
-from .core import ConfigError, RestrainViolation, SimulationError, derive_stream, validate_config
+from .core import (
+    _MASK64, ConfigError, RestrainViolation, SimulationError, _require_int, _require_prob,
+    derive_stream, validate_config,
+)
 from .engine import SimResult, run_simulation
 
 CSV_FIELDS = (
@@ -42,24 +48,30 @@ def _csv_row(result: SimResult) -> list:
     ]
 
 
-def render_csv(results) -> str:
-    out = io.StringIO()
-    out.write(",".join(CSV_FIELDS) + "\n")
+def _write_csv(fh, results) -> None:
+    """Write the header, then one flushed row per result as it arrives."""
+    fh.write(",".join(CSV_FIELDS) + "\n")
+    fh.flush()
     for result in results:
         queued = sum(result.final_queues)
         if queued != result.queued_total or queued != result.injected - result.delivered:
             raise SimulationError(
                 f"row for seed {result.config.seed}: final queues hold {queued} packets, "
                 f"injected - delivered = {result.injected - result.delivered}")
-        out.write(",".join(_fmt(v) for v in _csv_row(result)) + "\n")
+        fh.write(",".join(_fmt(v) for v in _csv_row(result)) + "\n")
+        fh.flush()
+
+
+def render_csv(results) -> str:
+    out = io.StringIO()
+    _write_csv(out, results)
     return out.getvalue()
 
 
 def emit_csv(results, path) -> None:
     """Write one CSV row per run; header order is fixed, endings are LF."""
-    text = render_csv(results)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        _write_csv(fh, results)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +96,10 @@ def expand_sweep(doc: dict):
 
     A sweep document is a run configuration whose `n` and `rho` may be lists
     and whose `seed` is replaced by `seeds`: either an explicit list or an
-    integer count meaning seeds 0..count-1.
+    integer count meaning seeds 0..count-1. Cells come in (n, rho, seed)
+    order. The whole grid is checked before the first cell is yielded: each
+    n is validated once (so a family file is read once per n), and every rho
+    and seed on its own, since the cells of one n differ only in those two.
     """
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a JSON object")
@@ -94,18 +109,71 @@ def expand_sweep(doc: dict):
     if seeds is None:
         raise ConfigError("sweep config needs 'seeds' (list or count)", "seeds")
     if isinstance(seeds, int):
-        seeds = list(range(seeds))
+        seeds = range(seeds)
+    rhos = [_require_prob(rho, "rho") for rho in _as_list(doc.get("rho"))]
+    seeds = [_require_int(seed, "seed", 0, _MASK64) for seed in seeds]
     base = {k: v for k, v in doc.items() if k not in _SWEEP_ONLY_KEYS}
-    for n in _as_list(doc.get("n")):
-        for rho in _as_list(doc.get("rho")):
+    configs = [validate_config(dict(base, n=n, rho=rhos[0], seed=seeds[0]))
+               for n in _as_list(doc.get("n"))] if rhos and seeds else []
+    for config in configs:
+        for rho in rhos:
             for seed in seeds:
-                cell = dict(base)
-                cell.update(n=n, rho=rho, seed=seed)
-                yield validate_config(cell)
+                yield replace(config, rho=rho, seed=seed)
 
 
 def _run_cell(config):
     return run_simulation(config)
+
+
+@dataclass(frozen=True)
+class StabilityCell:
+    n: int
+    rho: float
+    seed: int
+    avg_max: float
+
+
+@dataclass
+class StabilityTable:
+    """Per system size: the smallest swept rho whose mean avg-max crosses delta."""
+
+    delta: float
+    boundaries: dict = field(default_factory=dict)       # n -> rho | None
+    non_monotonic: dict = field(default_factory=dict)    # n -> [rho, ...]
+    cells: list = field(default_factory=list)            # StabilityCell rows
+
+
+def stability_sweep(protocol: str, n_values, rho_grid, rounds: int, reps: int,
+                    delta: float = 1024.0, *, base_seed: int = 0,
+                    burst_p: float = 0.5, stock_b: int = 256,
+                    distribution: str = "focused") -> StabilityTable:
+    """Sweep (n, rho) cells and find where mean avg-max first exceeds delta.
+
+    The whole grid is swept (no early stop) so that a cell back below delta
+    after a crossing is reported, not hidden. Seeds base_seed..base_seed+reps-1
+    are shared across cells as common random numbers.
+    """
+    doc = {"n": list(n_values), "protocol": protocol, "rho": sorted(rho_grid),
+           "rounds": rounds, "seeds": list(range(base_seed, base_seed + reps)),
+           "burst_p": burst_p, "stock_b": stock_b, "distribution": distribution}
+    table = StabilityTable(delta=delta)
+    for config in expand_sweep(doc):
+        table.cells.append(StabilityCell(config.n, config.rho, config.seed,
+                                         run_simulation(config).metrics.avg_max))
+    for n, row in itertools.groupby(table.cells, key=lambda c: c.n):
+        boundary = None
+        wobbles = []
+        for rho, group in itertools.groupby(row, key=lambda c: c.rho):
+            values = [c.avg_max for c in group]
+            crossed = sum(values) / len(values) > delta
+            if crossed and boundary is None:
+                boundary = rho
+            elif not crossed and boundary is not None:
+                wobbles.append(rho)
+        table.boundaries[n] = boundary
+        if wobbles:
+            table.non_monotonic[n] = wobbles
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +215,14 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}", "jobs")
     jobs = min(args.jobs, os.cpu_count() or 1)
-    doc = _load_json(args.config)
-    cells = list(expand_sweep(doc))
+    cells = expand_sweep(_load_json(args.config))
+    # Taking the first cell checks the whole grid before the output file exists.
+    cells = itertools.chain(list(itertools.islice(cells, 1)), cells)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_cell, cells)
+            emit_csv(pool.imap(_run_cell, cells), args.out)
     else:
-        results = [run_simulation(c) for c in cells]
-    emit_csv(results, args.out)
+        emit_csv(map(_run_cell, cells), args.out)
     return 0
 
 

@@ -14,20 +14,6 @@ from dataclasses import dataclass, field
 
 _MASK64 = (1 << 64) - 1
 
-PROTOCOL_NAMES = (
-    "adaptive",
-    "fullsensing",
-    "fullsensing_mod",
-    "round_robin",
-    "interleaved",
-    "backoff",
-    "state_aware",
-)
-BACKOFF_KINDS = ("exponential", "linear", "square")
-
-# Protocols that may run without any restrain limit.
-_UNBOUNDED_OK = ("backoff", "state_aware")
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -167,21 +153,18 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Parsed protocol identifier plus its parameters."""
+    """Parsed protocol identifier plus its parameters (at most one is set)."""
 
     name: str
     backoff_kind: str | None = None
     variant_k: int | None = None
     selector_path: str | None = None
-    families: tuple = ()
+    families: tuple = ()  # interleaved: the family each level of the schedule uses
 
     def canonical(self) -> str:
-        if self.name == "backoff":
-            return f"backoff({self.backoff_kind})"
-        if self.name == "fullsensing_mod":
-            return f"fullsensing_mod({self.variant_k})"
-        if self.name == "interleaved":
-            return f"interleaved({self.selector_path})"
+        for arg in (self.backoff_kind, self.variant_k, self.selector_path):
+            if arg is not None:
+                return f"{self.name}({arg})"
         return self.name
 
 
@@ -229,70 +212,24 @@ def _require_prob(value, name: str) -> float:
     return float(value)
 
 
-def declared_restrain(protocol: ProtocolSpec) -> int | None:
-    """Channel restrain each protocol promises; None means unbounded."""
-    if protocol.name == "adaptive":
-        return 2
-    if protocol.name in ("fullsensing", "fullsensing_mod"):
-        return 3
-    if protocol.name in ("round_robin", "state_aware"):
-        return 1
-    if protocol.name == "interleaved":
-        sizes = [len(s) for fam in protocol.families for s in fam.sets]
-        return max(sizes, default=1)
-    return None  # backoff
+def _parse_protocol(value, n: int):
+    """Parse a protocol string; returns (ProtocolSpec, its protocols.PROTOCOLS entry)."""
+    from .protocols import PROTOCOLS  # deferred: protocols imports this module
 
-
-def _parse_protocol(value, n: int) -> ProtocolSpec:
     if not isinstance(value, str):
         raise ConfigError(f"protocol must be a string, got {value!r}", "protocol")
     match = _PROTOCOL_RE.match(value.strip())
     if not match:
         raise ConfigError(f"cannot parse protocol {value!r}", "protocol")
     name, arg = match.group(1), match.group(2)
-    if name not in PROTOCOL_NAMES:
+    entry = PROTOCOLS.get(name)
+    if entry is None:
         raise ConfigError(f"unknown protocol {name!r}", "protocol")
-
-    if name == "backoff":
-        if not arg:
-            raise MissingParameter("backoff requires a kind: backoff(exponential|linear|square)",
-                                   "protocol")
-        if arg not in BACKOFF_KINDS:
-            raise RangeError("protocol", f"backoff kind in {BACKOFF_KINDS}", arg)
-        return ProtocolSpec(name, backoff_kind=arg)
-
-    if name == "fullsensing_mod":
-        if not arg:
-            raise MissingParameter("fullsensing_mod requires an integer k: fullsensing_mod(2)",
-                                   "protocol")
-        try:
-            k = int(arg)
-        except ValueError:
-            raise RangeError("protocol", "fullsensing_mod(k) with integer k >= 1", arg) from None
-        if k < 1:
-            raise RangeError("protocol", "fullsensing_mod(k) with k >= 1", k)
-        return ProtocolSpec(name, variant_k=k)
-
-    if name == "interleaved":
-        if not arg:
-            raise MissingParameter("interleaved requires a selector family file: interleaved(path)",
-                                   "protocol")
-        from . import selectors  # deferred: keeps core importable on its own
-
-        try:
-            families = selectors.load_family_file(arg)
-        except OSError as exc:
-            raise MissingParameter(f"cannot read selector family file {arg!r}: {exc}",
-                                   "protocol") from exc
-        for fam in families:
-            if fam.n != n:
-                raise ConfigError(
-                    f"selector family has n={fam.n}, run has n={n}", "protocol")
-        return ProtocolSpec(name, selector_path=arg, families=families)
-
+    if entry.parse is not None:
+        return ProtocolSpec(name, **entry.parse(arg, n)), entry
     if arg:
         raise ConfigError(f"protocol {name!r} takes no parameter", "protocol")
-    return ProtocolSpec(name)
+    return ProtocolSpec(name), entry
 
 
 def _parse_distribution(value, n: int) -> DistributionSpec:
@@ -358,16 +295,15 @@ def validate_config(raw) -> SimConfig:
     seed = _require_int(doc["seed"], "seed", 0, _MASK64)
     burst_p = _require_prob(doc.get("burst_p", 0.5), "burst_p")
     stock_b = _require_int(doc.get("stock_b", 256), "stock_b", 1)
-    protocol = _parse_protocol(doc["protocol"], n)
+    protocol, entry = _parse_protocol(doc["protocol"], n)
     distribution = _parse_distribution(doc.get("distribution", "focused"), n)
 
     limit = doc.get("restrain_limit", None)
     if limit is None:
-        restrain = declared_restrain(protocol)
+        restrain = entry.restrain(protocol)
     elif limit == "unbounded":
-        if protocol.name not in _UNBOUNDED_OK:
-            raise RangeError("restrain_limit",
-                             f"'unbounded' only for {_UNBOUNDED_OK}", limit)
+        if not entry.unbounded_ok:
+            raise RangeError("restrain_limit", f"an integer >= 1 for {protocol.name}", limit)
         restrain = None
     else:
         restrain = _require_int(limit, "restrain_limit", 1)

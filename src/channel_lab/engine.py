@@ -22,7 +22,7 @@ from .core import (
 # The loop folds metrics itself. metrics_update stays importable from here
 # because perfbench/tracer.py wraps engine.metrics_update by name.
 from .metrics import MetricsAccumulator, MetricsSummary, metrics_update  # noqa: F401
-from .protocols import make_system
+from .protocols import PROTOCOLS
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class Engine:
         self.config = config = validate_config(config)
         self.n = config.n
         self.queues = list(config.initial_queues)
-        self.system = make_system(config)
+        entry = PROTOCOLS[config.protocol.name]
+        self.system = entry.system(config)
         self.adversary = AdversaryState(
             rho=config.rho, burst_p=config.burst_p, stock_b=config.stock_b,
             distribution=make_distribution(config.distribution, config.n),
@@ -80,14 +81,9 @@ class Engine:
         self.checkpoints = []
         self.collect_reports = collect_reports
         self.reports = []
-        limit = config.restrain_limit
-        declared = self.system.declared
-        if limit is None:
-            self.limit = declared
-        elif declared is None:
-            self.limit = limit
-        else:
-            self.limit = min(limit, declared)
+        # The tighter of the configured limit and the protocol's own promise.
+        bounds = (config.restrain_limit, entry.restrain(config.protocol))
+        self.limit = min((b for b in bounds if b is not None), default=None)
 
     def _advance(self, stop: int, reports=None) -> None:
         """Play rounds self.round + 1 .. stop; the only implementation of a round.

@@ -1,4 +1,4 @@
-"""Queue-size measurements and stability-boundary estimation.
+"""Queue-size measurements.
 
 Four measurements are tracked per run: the running maximum of the per-round
 maximum queue (max-max), its time average (avg-max), the running maximum of
@@ -8,7 +8,7 @@ use is summarized as the average number of switched-on stations per round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MetricsAccumulator:
@@ -82,66 +82,3 @@ def metrics_update(acc: MetricsAccumulator, queues, on_mode: int, *,
     if collision:
         acc.collisions += 1
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Stability sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StabilityCell:
-    n: int
-    rho: float
-    seed: int
-    avg_max: float
-
-
-@dataclass
-class StabilityTable:
-    """Per system size: the smallest swept rho whose mean avg-max crosses delta."""
-
-    delta: float
-    boundaries: dict = field(default_factory=dict)       # n -> rho | None
-    non_monotonic: dict = field(default_factory=dict)    # n -> [rho, ...]
-    cells: list = field(default_factory=list)            # StabilityCell rows
-
-
-def stability_sweep(protocol: str, n_values, rho_grid, rounds: int, reps: int,
-                    delta: float = 1024.0, *, base_seed: int = 0,
-                    burst_p: float = 0.5, stock_b: int = 256,
-                    distribution: str = "focused") -> StabilityTable:
-    """Sweep (n, rho) cells and find where mean avg-max first exceeds delta.
-
-    The whole grid is swept (no early stop) so that a cell back below delta
-    after a crossing is reported, not hidden. Seeds base_seed..base_seed+reps-1
-    are shared across cells as common random numbers.
-    """
-    from .core import validate_config  # deferred to avoid an import cycle
-    from .engine import run_simulation
-
-    grid = sorted(rho_grid)
-    table = StabilityTable(delta=delta)
-    for n in n_values:
-        boundary = None
-        wobbles = []
-        for rho in grid:
-            values = []
-            for rep in range(reps):
-                seed = base_seed + rep
-                config = validate_config({
-                    "n": n, "protocol": protocol, "rho": rho, "rounds": rounds,
-                    "seed": seed, "burst_p": burst_p, "stock_b": stock_b,
-                    "distribution": distribution,
-                })
-                result = run_simulation(config)
-                values.append(result.metrics.avg_max)
-                table.cells.append(StabilityCell(n, rho, seed, result.metrics.avg_max))
-            crossed = sum(values) / len(values) > delta
-            if crossed and boundary is None:
-                boundary = rho
-            elif not crossed and boundary is not None:
-                wobbles.append(rho)
-        table.boundaries[n] = boundary
-        if wobbles:
-            table.non_monotonic[n] = wobbles
-    return table

@@ -1,6 +1,7 @@
 """The protocol families: token-cycle adaptive and full-sensing state machines,
 fixed-schedule round-robin and interleaved selectors, three backoff variants,
-and the centralized state-aware comparator.
+and the centralized state-aware comparator. PROTOCOLS, at the end, is the one
+table of protocol names that config validation and the engine read.
 
 Stations expose decide(round, queue_len) -> StationAction and
 observe(round, observation, own_ack); decide mutates only transmission-phase
@@ -14,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
+from . import selectors
 from .core import (
-    LISTEN, OFF, TRANSMIT, TRANSMIT_BIG, TRANSMIT_LAST_BIG, ChannelObservation,
-    ProtocolInvariantBroken, SimConfig, StationAction, derive_stream,
+    LISTEN, OFF, TRANSMIT, TRANSMIT_BIG, TRANSMIT_LAST_BIG, ChannelObservation, ConfigError,
+    MissingParameter, ProtocolInvariantBroken, ProtocolSpec, RangeError, SimConfig,
+    StationAction, derive_stream,
 )
 from .selectors import SelectorFamily
 
@@ -27,6 +31,7 @@ TRANSMITTING = "transmitting"
 BIG = "big"
 LAST_BIG = "last_big"
 
+BACKOFF_KINDS = ("exponential", "linear", "square")
 BACKOFF_WINDOW_CAP = 2048
 
 
@@ -377,7 +382,6 @@ class ProtocolSystem:
 
     wants_feedback = False
     wants_injection_notes = False
-    declared = None  # channel restrain this protocol promises
 
     def actions(self, round_no: int, queues) -> tuple[list, int]:
         """Return ([(station, bits), ...] transmit attempts, on-mode count)."""
@@ -395,20 +399,12 @@ class ProtocolSystem:
 
 
 class TokenSystem(ProtocolSystem):
-    """Drives adaptive or full-sensing stations through the wake calendar."""
+    """Drives token-cycle stations, built by the subclass, through the wake calendar."""
 
     wants_feedback = True
 
     def __init__(self, config: SimConfig):
-        n = config.n
-        name = config.protocol.name
-        if name == "adaptive":
-            self.stations = [AdaptiveStation(sid, n) for sid in range(1, n + 1)]
-            self.declared = 2
-        else:
-            k = config.protocol.variant_k or 0
-            self.stations = [FullSensingStation(sid, n, k) for sid in range(1, n + 1)]
-            self.declared = 3
+        self.stations = [self.make_station(sid, config) for sid in range(1, config.n + 1)]
         self.calendar: dict[int, list] = {}
         self.active = [st for st in self.stations if st.state is not IDLE]
         for st in self.stations:
@@ -462,10 +458,18 @@ class TokenSystem(ProtocolSystem):
         return [tuple(st.order) for st in self.stations]
 
 
+class AdaptiveSystem(TokenSystem):
+    def make_station(self, sid: int, config: SimConfig) -> AdaptiveStation:
+        return AdaptiveStation(sid, config.n)
+
+
+class FullSensingSystem(TokenSystem):
+    def make_station(self, sid: int, config: SimConfig) -> FullSensingStation:
+        return FullSensingStation(sid, config.n, config.protocol.variant_k or 0)
+
+
 class RoundRobinSystem(ProtocolSystem):
     """One scheduled station per round; it listens when it has nothing to send."""
-
-    declared = 1
 
     def __init__(self, config: SimConfig):
         self.n = config.n
@@ -487,7 +491,6 @@ class InterleavedSystem(ProtocolSystem):
     def __init__(self, config: SimConfig):
         self.n = config.n
         self.state = build_interleaved_state(config.n, config.protocol.families)
-        self.declared = max(len(s) for fam in self.state.families for s in fam.sets)
 
     def active_set(self, round_no: int) -> tuple[int, ...]:
         level, index = interleaved_schedule(round_no, self.state)
@@ -514,7 +517,6 @@ class BackoffSystem(ProtocolSystem):
 
     wants_feedback = True
     wants_injection_notes = True
-    declared = None
 
     def __init__(self, config: SimConfig):
         kind = config.protocol.backoff_kind
@@ -571,8 +573,6 @@ class BackoffSystem(ProtocolSystem):
 class StateAwareSystem(ProtocolSystem):
     """Centralized comparator: the largest queue transmits each round."""
 
-    declared = 1
-
     def __init__(self, config: SimConfig):
         self.n = config.n
 
@@ -583,16 +583,69 @@ class StateAwareSystem(ProtocolSystem):
         return [(sid, None)], 1
 
 
-def make_system(config: SimConfig) -> ProtocolSystem:
-    name = config.protocol.name
-    if name in ("adaptive", "fullsensing", "fullsensing_mod"):
-        return TokenSystem(config)
-    if name == "round_robin":
-        return RoundRobinSystem(config)
-    if name == "interleaved":
-        return InterleavedSystem(config)
-    if name == "backoff":
-        return BackoffSystem(config)
-    if name == "state_aware":
-        return StateAwareSystem(config)
-    raise ValueError(f"unknown protocol {name!r}")
+# ---------------------------------------------------------------------------
+# The protocol table
+# ---------------------------------------------------------------------------
+
+def _parse_backoff_kind(arg: str | None, n: int) -> dict:
+    if not arg:
+        raise MissingParameter("backoff requires a kind: backoff(exponential|linear|square)",
+                               "protocol")
+    if arg not in BACKOFF_KINDS:
+        raise RangeError("protocol", f"backoff kind in {BACKOFF_KINDS}", arg)
+    return {"backoff_kind": arg}
+
+
+def _parse_variant_k(arg: str | None, n: int) -> dict:
+    if not arg:
+        raise MissingParameter("fullsensing_mod requires an integer k: fullsensing_mod(2)",
+                               "protocol")
+    try:
+        k = int(arg)
+    except ValueError:
+        raise RangeError("protocol", "fullsensing_mod(k) with integer k >= 1", arg) from None
+    if k < 1:
+        raise RangeError("protocol", "fullsensing_mod(k) with k >= 1", k)
+    return {"variant_k": k}
+
+
+def _parse_family_file(arg: str | None, n: int) -> dict:
+    """Load the family file; the spec keeps only the families the schedule uses."""
+    if not arg:
+        raise MissingParameter("interleaved requires a selector family file: interleaved(path)",
+                               "protocol")
+    try:
+        families = selectors.load_family_file(arg)
+    except OSError as exc:
+        raise MissingParameter(f"cannot read selector family file {arg!r}: {exc}",
+                               "protocol") from exc
+    for fam in families:
+        if fam.n != n:
+            raise ConfigError(f"selector family has n={fam.n}, run has n={n}", "protocol")
+    return {"selector_path": arg, "families": build_interleaved_state(n, families).families}
+
+
+def _largest_scheduled_set(protocol: ProtocolSpec) -> int:
+    return max((len(s) for fam in protocol.families for s in fam.sets), default=1)
+
+
+@dataclass(frozen=True)
+class ProtocolEntry:
+    """Everything the package knows about one protocol name."""
+
+    system: type                                    # its ProtocolSystem
+    restrain: Callable[[ProtocolSpec], int | None]  # restrain it promises; None = unbounded
+    parse: Callable[[str | None, int], dict] | None = None  # (argument, n) -> spec fields
+    unbounded_ok: bool = False                      # may run with restrain_limit "unbounded"
+
+
+PROTOCOLS = {
+    "adaptive": ProtocolEntry(AdaptiveSystem, lambda spec: 2),
+    "fullsensing": ProtocolEntry(FullSensingSystem, lambda spec: 3),
+    "fullsensing_mod": ProtocolEntry(FullSensingSystem, lambda spec: 3, _parse_variant_k),
+    "round_robin": ProtocolEntry(RoundRobinSystem, lambda spec: 1),
+    "interleaved": ProtocolEntry(InterleavedSystem, _largest_scheduled_set, _parse_family_file),
+    "backoff": ProtocolEntry(BackoffSystem, lambda spec: None, _parse_backoff_kind,
+                             unbounded_ok=True),
+    "state_aware": ProtocolEntry(StateAwareSystem, lambda spec: 1, unbounded_ok=True),
+}

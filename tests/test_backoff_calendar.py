@@ -52,7 +52,6 @@ class PollingBackoffSystem:
 
     wants_feedback = True
     wants_injection_notes = True
-    declared = None
 
     def __init__(self, config):
         kind = config.protocol.backoff_kind

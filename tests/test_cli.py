@@ -2,15 +2,18 @@ import dataclasses
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
 from channel_lab import selectors
 from channel_lab.cli import (
-    CSV_FIELDS, dispatch, emit_csv, expand_sweep, render_csv, sweep_size,
+    CSV_FIELDS, dispatch, emit_csv, expand_sweep, render_csv, stability_sweep, sweep_size,
 )
-from channel_lab.core import SimulationError
-from channel_lab.engine import run_simulation
+from channel_lab.core import SimulationError, validate_config
+from channel_lab.engine import Engine, run_simulation
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -121,6 +124,20 @@ class TestEmitCsv:
         row = text.strip().split("\n")[1]
         assert row.split(",")[CSV_FIELDS.index("k")] == "unbounded"
 
+    def test_interleaved_k_counts_only_the_families_the_schedule_uses(self, tmp_path):
+        # n = 8 has levels omega = 2, 4, 8; a family for omega = 16 is never
+        # scheduled, so its 6-station set must not raise k above the limit
+        # the engine checks.
+        families = list(selectors.load_family_file(DATA / "families_8.json"))
+        used = max(len(s) for fam in families if fam.omega in (2, 4, 8) for s in fam.sets)
+        families.append(selectors.SelectorFamily(8, 16, 6, ((1, 2, 3, 4, 5, 6), (7, 8))))
+        path = tmp_path / "families.json"
+        selectors.save_family_file(path, families)
+        doc = {"n": 8, "protocol": f"interleaved({path})", "rho": 0.5, "rounds": 200,
+               "seed": 1}
+        row = render_csv([run_simulation(doc)]).strip().split("\n")[1]
+        assert int(row.split(",")[CSV_FIELDS.index("k")]) == Engine(doc).limit == used == 4
+
 
 class TestSweep:
     def sweep_doc(self, **overrides):
@@ -169,8 +186,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+            def imap(self, fn, items):
+                return map(fn, items)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
@@ -193,6 +210,87 @@ class TestSweep:
     def test_sweep_rejects_singular_seed_key(self, tmp_path):
         with pytest.raises(Exception):
             list(expand_sweep(self.sweep_doc(seed=1)))
+
+    def test_cells_equal_per_cell_validation(self):
+        doc = self.sweep_doc(n=[4, 8], protocol="fullsensing_mod(2)", rho=[0.1, 0.5],
+                             distribution="single(3)", seeds=[1, 2])
+        base = {k: v for k, v in doc.items() if k != "seeds"}
+        expected = [validate_config(dict(base, n=n, rho=rho, seed=seed))
+                    for n in (4, 8) for rho in (0.1, 0.5) for seed in (1, 2)]
+        assert list(expand_sweep(doc)) == expected
+
+    def test_family_file_read_once_per_sweep(self, tmp_path, monkeypatch):
+        loads = []
+        load = selectors.load_family_file
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(selectors, "load_family_file", counting_load)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc(
+            n=8, protocol=f"interleaved({DATA / 'families_8.json'})", seeds=3, rounds=100)))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 9
+        assert len(loads) == 1
+
+    def test_bad_last_rho_exits_one_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc(rho=[0.1, 0.3, 1.5])))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_cell_keeps_the_rows_before_it(self, tmp_path, capsys):
+        # The first cell stays within restrain 1; the second breaks it in round 2.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc(
+            n=8, protocol="backoff(exponential)", rho=[0.01, 0.9], rounds=2000,
+            seeds=[0], restrain_limit=1)))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "restrain" in capsys.readouterr().err
+        header, row = out.read_text().strip().split("\n")
+        assert header == ",".join(CSV_FIELDS)
+        assert row.split(",")[CSV_FIELDS.index("rho")] == "0.01"
+
+
+class TestStabilitySweep:
+    def test_adaptive_never_crosses_delta(self):
+        # For n=4 the worst-case bound on total queued is far below 1024, so
+        # the boundary cannot exist at any injection rate.
+        table = stability_sweep("adaptive", [4], [0.5, 1.0], rounds=20_000,
+                                reps=2, delta=1024.0)
+        assert table.boundaries[4] is None
+        assert not table.non_monotonic
+
+    def test_round_robin_destabilizes_above_its_capacity(self):
+        # Focused load on station 1 exceeds its 1/n service share beyond
+        # rho = 0.6 at n=4; the grid should cross between 0.4 and 0.8.
+        table = stability_sweep("round_robin", [4], [0.2, 0.4, 0.8],
+                                rounds=100_000, reps=2, delta=1024.0)
+        assert table.boundaries[4] == 0.8
+
+    def test_cells_are_recorded_for_every_run(self):
+        table = stability_sweep("state_aware", [4, 8], [0.3, 0.6], rounds=1000,
+                                reps=3, delta=1024.0)
+        assert len(table.cells) == 2 * 2 * 3
+        assert {c.n for c in table.cells} == {4, 8}
+
+    def test_non_monotone_cells_are_flagged_not_hidden(self):
+        # A tiny horizon near the knife edge can cross at a lower rho and not
+        # at a higher one; the sweep must report that rather than mask it.
+        table = stability_sweep("round_robin", [4], [0.7, 0.75], rounds=300,
+                                reps=1, delta=0.8)
+        if table.boundaries[4] is not None and table.boundaries[4] == 0.7:
+            crossed_all = all(
+                sum(c.avg_max for c in table.cells if c.rho == rho) > 0.8
+                for rho in (0.75,))
+            if not crossed_all:
+                assert table.non_monotonic.get(4)
 
 
 class TestSelectorCommands:

@@ -1,13 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import channel_lab
 from channel_lab.core import (
     AdaptiveBits, ConfigError, MissingParameter, RangeError, SimConfig,
     derive_stream, validate_config,
 )
+from channel_lab.engine import Engine
+from channel_lab.protocols import PROTOCOLS
 
+DATA = Path(__file__).resolve().parent / "data"
 
 BASE = {"n": 32, "rho": 0.5, "p": 0.5, "b": 256, "protocol": "round_robin",
         "rounds": 1000, "seed": 7}
+
+# One protocol string per table entry, at n = 8, with the restrain it promises.
+EXAMPLES = {
+    "adaptive": ("adaptive", 2),
+    "fullsensing": ("fullsensing", 3),
+    "fullsensing_mod": ("fullsensing_mod(2)", 3),
+    "round_robin": ("round_robin", 1),
+    "interleaved": (f"interleaved({DATA / 'families_8.json'})", 4),
+    "backoff": ("backoff(linear)", None),
+    "state_aware": ("state_aware", 1),
+}
 
 
 class TestValidateConfig:
@@ -100,17 +120,35 @@ class TestProtocolField:
         with pytest.raises(ConfigError):
             validate_config(dict(BASE, protocol="csma"))
 
-    def test_declared_restrain_defaults(self):
-        assert validate_config(dict(BASE, protocol="adaptive")).restrain_limit == 2
-        assert validate_config(dict(BASE, protocol="fullsensing")).restrain_limit == 3
-        assert validate_config(dict(BASE, protocol="round_robin")).restrain_limit == 1
-        assert validate_config(dict(BASE, protocol="state_aware")).restrain_limit == 1
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_declared_restrain_defaults(self, name):
+        protocol, promised = EXAMPLES[name]
+        cfg = validate_config(dict(BASE, n=8, protocol=protocol))
+        assert cfg.restrain_limit == promised
+        assert Engine(cfg).limit == promised
 
-    def test_unbounded_only_for_backoff_and_state_aware(self):
-        cfg = validate_config(dict(BASE, protocol="state_aware", restrain_limit="unbounded"))
-        assert cfg.restrain_limit is None
-        with pytest.raises(RangeError):
-            validate_config(dict(BASE, protocol="adaptive", restrain_limit="unbounded"))
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_unbounded_only_for_backoff_and_state_aware(self, name):
+        allowed = name in ("backoff", "state_aware")
+        assert PROTOCOLS[name].unbounded_ok == allowed
+        doc = dict(BASE, n=8, protocol=EXAMPLES[name][0], restrain_limit="unbounded")
+        if allowed:
+            assert validate_config(doc).restrain_limit is None
+        else:
+            with pytest.raises(RangeError):
+                validate_config(doc)
+
+    def test_core_imports_without_protocol_code(self):
+        # core reaches the protocol table through a deferred import, because
+        # protocols imports core; importing core alone must not load it.
+        code = ("import sys, channel_lab.core; "
+                "print(' '.join(m for m in sys.modules if m.startswith('channel_lab')))")
+        src = str(Path(channel_lab.__file__).resolve().parents[1])
+        loaded = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, check=True).stdout.split()
+        assert "channel_lab.core" in loaded
+        for name in ("protocols", "selectors", "engine"):
+            assert f"channel_lab.{name}" not in loaded
 
 
 class TestDistributionField:

@@ -22,7 +22,6 @@ class ScriptedSystem:
 
     wants_feedback = False
     wants_injection_notes = False
-    declared = None
 
     def __init__(self, attempts, on_count=None):
         self.attempts = attempts

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channel_lab.metrics import MetricsAccumulator, metrics_update, stability_sweep
+from channel_lab.metrics import MetricsAccumulator, metrics_update
 
 
 def fold(traces, n):
@@ -59,38 +59,3 @@ class TestMetricsUpdate:
             metrics_update(acc, queues, on_mode=1)
             seen.append((acc.max_max, acc.max_avg))
         assert seen == sorted(seen)
-
-
-class TestStabilitySweep:
-    def test_adaptive_never_crosses_delta(self):
-        # For n=4 the worst-case bound on total queued is far below 1024, so
-        # the boundary cannot exist at any injection rate.
-        table = stability_sweep("adaptive", [4], [0.5, 1.0], rounds=20_000,
-                                reps=2, delta=1024.0)
-        assert table.boundaries[4] is None
-        assert not table.non_monotonic
-
-    def test_round_robin_destabilizes_above_its_capacity(self):
-        # Focused load on station 1 exceeds its 1/n service share beyond
-        # rho = 0.6 at n=4; the grid should cross between 0.4 and 0.8.
-        table = stability_sweep("round_robin", [4], [0.2, 0.4, 0.8],
-                                rounds=100_000, reps=2, delta=1024.0)
-        assert table.boundaries[4] == 0.8
-
-    def test_cells_are_recorded_for_every_run(self):
-        table = stability_sweep("state_aware", [4, 8], [0.3, 0.6], rounds=1000,
-                                reps=3, delta=1024.0)
-        assert len(table.cells) == 2 * 2 * 3
-        assert {c.n for c in table.cells} == {4, 8}
-
-    def test_non_monotone_cells_are_flagged_not_hidden(self):
-        # A tiny horizon near the knife edge can cross at a lower rho and not
-        # at a higher one; the sweep must report that rather than mask it.
-        table = stability_sweep("round_robin", [4], [0.7, 0.75], rounds=300,
-                                reps=1, delta=0.8)
-        if table.boundaries[4] is not None and table.boundaries[4] == 0.7:
-            crossed_all = all(
-                sum(c.avg_max for c in table.cells if c.rho == rho) > 0.8
-                for rho in (0.75,))
-            if not crossed_all:
-                assert table.non_monotonic.get(4)
