@@ -179,7 +179,7 @@ class SimConfig:
     seed: int
     burst_p: float = 0.5
     stock_b: int = 256
-    restrain_limit: int | None = None  # None means unbounded
+    restrain_limit: int | None = None  # the limit checked each round; None means unbounded
     distribution: DistributionSpec = field(default_factory=lambda: DistributionSpec("focused"))
     initial_queues: tuple[int, ...] = ()
 
@@ -298,15 +298,16 @@ def validate_config(raw) -> SimConfig:
     protocol, entry = _parse_protocol(doc["protocol"], n)
     distribution = _parse_distribution(doc.get("distribution", "focused"), n)
 
+    # The stored limit is the tighter of the configured one and the protocol's
+    # promise; the engine checks it and the CSV reports it as k.
+    restrain = entry.restrain(protocol)
     limit = doc.get("restrain_limit", None)
-    if limit is None:
-        restrain = entry.restrain(protocol)
-    elif limit == "unbounded":
+    if limit == "unbounded":
         if not entry.unbounded_ok:
             raise RangeError("restrain_limit", f"an integer >= 1 for {protocol.name}", limit)
-        restrain = None
-    else:
-        restrain = _require_int(limit, "restrain_limit", 1)
+    elif limit is not None:
+        limit = _require_int(limit, "restrain_limit", 1)
+        restrain = limit if restrain is None else min(limit, restrain)
 
     initial = doc.get("initial_queues", None)
     if initial is None:

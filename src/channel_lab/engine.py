@@ -3,10 +3,15 @@ accounting, queue updates, and conservation checking.
 
 Each round runs in a fixed order: the adversary injects, switched-on stations
 act, the channel resolves to silence / one delivery / collision, feedback goes
-back to the on-mode stations, and the restrain limit is asserted. Whenever the
-loop stops (at the end of a run, at a checkpoint, after a single step) the
-queues are checked against the packet count: they must sum to the packets
-injected and not yet delivered, and none may be negative.
+back to the on-mode stations, and the restrain limit is asserted.
+
+`Engine.advance(stop, reports=None)` is the one way to play rounds: it plays
+up to round `stop`, appends one RoundReport per round to `reports` when given
+a list, and stops. At every stop the queues are checked against the packet
+count: they must sum to the packets injected and not yet delivered, and none
+may be negative. A run is observed between stops: `eng.advance(r)` followed by
+`eng.acc.snapshot()` is a checkpoint, `step()` plays one round and returns its
+report, and `run()` finishes the run however far it has been advanced.
 """
 
 from __future__ import annotations
@@ -46,19 +51,16 @@ class SimResult:
     max_cycle_collisions: int
     max_on_mode: int
     metrics: MetricsSummary
-    checkpoints: tuple = ()
-    reports: tuple = ()
 
 
 class Engine:
     """One simulation world; single-threaded, deterministic in the seed."""
 
-    def __init__(self, config, *, checkpoint_rounds=(), collect_reports=False):
+    def __init__(self, config):
         self.config = config = validate_config(config)
         self.n = config.n
         self.queues = list(config.initial_queues)
-        entry = PROTOCOLS[config.protocol.name]
-        self.system = entry.system(config)
+        self.system = PROTOCOLS[config.protocol.name].system(config)
         self.adversary = AdversaryState(
             rho=config.rho, burst_p=config.burst_p, stock_b=config.stock_b,
             distribution=make_distribution(config.distribution, config.n),
@@ -77,21 +79,16 @@ class Engine:
         self.cycle_collisions = 0    # collisions seen in that cycle
         self.max_cycle_collisions = 0
         self.max_on_mode = 0
-        self.checkpoint_rounds = frozenset(checkpoint_rounds)
-        self.checkpoints = []
-        self.collect_reports = collect_reports
-        self.reports = []
-        # The tighter of the configured limit and the protocol's own promise.
-        bounds = (config.restrain_limit, entry.restrain(config.protocol))
-        self.limit = min((b for b in bounds if b is not None), default=None)
+        self.limit = config.restrain_limit
 
-    def _advance(self, stop: int, reports=None) -> None:
+    def advance(self, stop: int, reports=None) -> None:
         """Play rounds self.round + 1 .. stop; the only implementation of a round.
 
         Counters, metric sums and the protocol's bound methods live in locals
         while the loop runs and are written back when it reaches `stop`. When
         `reports` is a list, one RoundReport per round is appended to it. A
-        SimulationError leaves the engine mid-round; it cannot be resumed.
+        `stop` at or below the current round plays nothing. A SimulationError
+        leaves the engine mid-round; it cannot be resumed.
         """
         start = self.round
         if stop <= start:
@@ -218,22 +215,16 @@ class Engine:
                 f"round {stop}: conservation broken (queues hold {queued} packets, "
                 f"lowest {min(queues)}; {injected} injected - {delivered} delivered "
                 f"= {total})")
-        if stop in self.checkpoint_rounds:
-            self.checkpoints.append((stop, acc.snapshot()))
 
     def step(self) -> RoundReport:
         """Advance one round and report what happened on the channel."""
-        reports = self.reports if self.collect_reports else []
-        self._advance(self.round + 1, reports)
-        return reports[-1]
+        reports = []
+        self.advance(self.round + 1, reports)
+        return reports[0]
 
     def run(self) -> SimResult:
-        rounds = self.config.rounds
-        reports = self.reports if self.collect_reports else None
-        for checkpoint in sorted(self.checkpoint_rounds):
-            if checkpoint <= rounds:
-                self._advance(checkpoint, reports)
-        self._advance(rounds, reports)
+        """Play the rest of the configured rounds and return the result."""
+        self.advance(self.config.rounds)
         return SimResult(
             config=self.config,
             injected=self.injected,
@@ -244,12 +235,9 @@ class Engine:
             max_cycle_collisions=self.max_cycle_collisions,
             max_on_mode=self.max_on_mode,
             metrics=self.acc.snapshot(),
-            checkpoints=tuple(self.checkpoints),
-            reports=tuple(self.reports),
         )
 
 
-def run_simulation(config, *, checkpoint_rounds=(), collect_reports=False) -> SimResult:
+def run_simulation(config) -> SimResult:
     """Run a validated (or raw) configuration to completion."""
-    return Engine(config, checkpoint_rounds=checkpoint_rounds,
-                  collect_reports=collect_reports).run()
+    return Engine(config).run()

@@ -3,12 +3,13 @@ fixed-schedule round-robin and interleaved selectors, three backoff variants,
 and the centralized state-aware comparator. PROTOCOLS, at the end, is the one
 table of protocol names that config validation and the engine read.
 
-Stations expose decide(round, queue_len) -> StationAction and
+Token stations expose decide(round, queue_len) -> StationAction and
 observe(round, observation, own_ack); decide mutates only transmission-phase
-state, observe is the sole channel-feedback mutator. A per-protocol system
-object drives the stations without polling them: idle token stations sit in a
-wake calendar, and each backlogged backoff station sits in a slot calendar under
-the one round it drew, so a round costs work only for the stations that act.
+state, observe is the sole channel-feedback mutator. Backoff stations expose
+draw_slot, on_success and on_failure. A per-protocol system object drives the
+stations without polling them: idle token stations sit in a wake calendar, and
+each backlogged backoff station sits in a slot calendar under the one round it
+drew, so a round costs work only for the stations that act.
 """
 
 from __future__ import annotations
@@ -275,10 +276,6 @@ class InterleavedState:
     levels: int
     families: tuple[SelectorFamily, ...]
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(f.sets) for f in self.families)
-
 
 def singleton_family(n: int, omega: int) -> SelectorFamily:
     return SelectorFamily(n, omega, 1, tuple((i,) for i in range(1, n + 1)),
@@ -354,15 +351,6 @@ class BackoffStation:
         """Pick this station's slot in the window that opens at round_no."""
         self.slot = slot = round_no + self.rng.randrange(backoff_window(self.kind, self.attempts))
         return slot
-
-    def decide(self, round_no: int, queue_len: int) -> StationAction:
-        if queue_len <= 0:
-            return OFF
-        if self.slot is None:
-            self.draw_slot(round_no)
-        if self.slot == round_no:
-            return TRANSMIT
-        return OFF
 
     def on_success(self) -> None:
         self.attempts = 0

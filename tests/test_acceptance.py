@@ -8,7 +8,7 @@ import pytest
 from channel_lab import selectors
 from channel_lab.cli import expand_sweep, render_csv, sweep_size
 from channel_lab.core import derive_stream, validate_config
-from channel_lab.engine import run_simulation
+from channel_lab.engine import Engine, run_simulation
 from channel_lab.protocols import backoff_window
 
 
@@ -64,12 +64,14 @@ def test_criterion_02_fullsensing_stability_window():
     # and at most one collision per 32-round cycle, on-mode <= 3 throughout.
     for rho, expect_growth in ((0.96, False), (0.98, True)):
         for seed in SEEDS:
-            result = run_simulation({
+            eng = Engine({
                 "n": 32, "protocol": "fullsensing", "rho": rho,
                 "rounds": 200_000, "seed": seed, "distribution": "flat",
                 "initial_queues": [96] * 32,
-            }, checkpoint_rounds=[50_000])
-            at_50k = result.checkpoints[0][1].avg_max
+            })
+            eng.advance(50_000)
+            at_50k = eng.acc.snapshot().avg_max
+            result = eng.run()
             final = result.metrics.avg_max
             if expect_growth:
                 assert final > at_50k, (rho, seed, at_50k, final)

@@ -86,10 +86,11 @@ class PollingBackoffSystem:
 def run(config, reference=None):
     """Run `config` on the calendar driver, or on the `reference` driver class.
 
-    Returns the result, every round's transmit attempts in the order the
-    driver listed them, and each station's final failure counter.
+    Returns the result, its per-round reports, every round's transmit attempts
+    in the order the driver listed them, and each station's final failure
+    counter.
     """
-    eng = Engine(config, collect_reports=True)
+    eng = Engine(config)
     if reference is not None:
         eng.system = reference(eng.config)
     system = eng.system
@@ -102,8 +103,9 @@ def run(config, reference=None):
         return attempts, on_count
 
     system.actions = recorded
-    result = eng.run()
-    return result, listed, [station.attempts for station in system.stations]
+    reports = []
+    eng.advance(config.rounds, reports)
+    return eng.run(), reports, listed, [station.attempts for station in system.stations]
 
 
 @st.composite
@@ -141,9 +143,10 @@ def backoff_configs(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(backoff_configs())
 def test_calendar_matches_polling_driver(config):
-    calendar, calendar_listed, calendar_failures = run(config)
-    polling, polling_listed, polling_failures = run(config, PollingBackoffSystem)
-    assert calendar.reports == polling.reports
+    calendar, calendar_reports, calendar_listed, calendar_failures = run(config)
+    polling, polling_reports, polling_listed, polling_failures = run(
+        config, PollingBackoffSystem)
+    assert calendar_reports == polling_reports
     assert calendar_listed == polling_listed
     assert calendar.final_queues == polling.final_queues
     assert calendar_failures == polling_failures
@@ -168,9 +171,11 @@ def test_reference_run_meets_collisions_and_injections_mid_backoff():
         rounds=200, seed=7, burst_p=0.5, stock_b=8,
         distribution=DistributionSpec("flat"), initial_queues=(2, 2, 2),
     )
-    eng = Engine(config, collect_reports=True)
+    eng = Engine(config)
     eng.system = WatchedPollingSystem(eng.config)
+    reports = []
+    eng.advance(config.rounds, reports)
     result = eng.run()
     assert result.collisions > 0
     assert eng.system.into_backoff > 0
-    assert run(config)[0] == result
+    assert run(config)[:2] == (result, reports)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from channel_lab.engine import run_simulation
+from channel_lab.engine import Engine
 
 DATA = Path(__file__).resolve().parent / "data"
 FAMILY_SIZES = (4, 8, 16)   # committed interleaved family files
@@ -93,12 +93,15 @@ def runs(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_every_station_conserves_its_packets(config):
-    result = run_simulation(config, collect_reports=True)
+    eng = Engine(config)
+    reports = []
+    eng.advance(eng.config.rounds, reports)
+    result = eng.run()
     n = config["n"]
     injected = replay_injections(n, config["rho"], config["burst_p"], config["stock_b"],
                                  config["seed"], config["rounds"], config["distribution"])
     delivered = [0] * n
-    for report in result.reports:
+    for report in reports:
         if report.delivered:
             delivered[report.observation.sender - 1] += 1
     initial = config["initial_queues"]

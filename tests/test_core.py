@@ -10,7 +10,8 @@ from channel_lab.core import (
     AdaptiveBits, ConfigError, MissingParameter, RangeError, SimConfig,
     derive_stream, validate_config,
 )
-from channel_lab.engine import Engine
+from channel_lab.cli import CSV_FIELDS, render_csv
+from channel_lab.engine import Engine, run_simulation
 from channel_lab.protocols import PROTOCOLS
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -131,12 +132,28 @@ class TestProtocolField:
     def test_unbounded_only_for_backoff_and_state_aware(self, name):
         allowed = name in ("backoff", "state_aware")
         assert PROTOCOLS[name].unbounded_ok == allowed
-        doc = dict(BASE, n=8, protocol=EXAMPLES[name][0], restrain_limit="unbounded")
+        protocol, promised = EXAMPLES[name]
+        doc = dict(BASE, n=8, protocol=protocol, restrain_limit="unbounded")
         if allowed:
-            assert validate_config(doc).restrain_limit is None
+            # "unbounded" lifts no promise: state_aware still runs at 1.
+            assert validate_config(doc).restrain_limit == promised
         else:
             with pytest.raises(RangeError):
                 validate_config(doc)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_limit_above_the_promise_is_the_promise_everywhere(self, name):
+        # The CSV k column and the limit the engine checks are one stored value.
+        protocol, promised = EXAMPLES[name]
+        asks = ["unbounded"] if PROTOCOLS[name].unbounded_ok else []
+        if promised is not None:
+            asks.append(promised + 3)
+        for ask in asks:
+            doc = dict(BASE, n=8, protocol=protocol, rounds=50, restrain_limit=ask)
+            row = render_csv([run_simulation(doc)]).strip().split("\n")[1]
+            k = row.split(",")[CSV_FIELDS.index("k")]
+            assert k == ("unbounded" if promised is None else str(promised))
+            assert Engine(doc).limit == validate_config(doc).restrain_limit == promised
 
     def test_core_imports_without_protocol_code(self):
         # core reaches the protocol table through a deferred import, because

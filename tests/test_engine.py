@@ -160,6 +160,45 @@ FOLD_CASES = {
 }
 
 
+def run_with_reports(doc):
+    """Run `doc` to completion, gathering one RoundReport per round."""
+    eng = Engine(doc)
+    reports = []
+    eng.advance(eng.config.rounds, reports)
+    return eng.run(), reports
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_stretches_match_one_unobserved_run(self, case):
+        # Stopping and observing a run leaves its course unchanged: stretches,
+        # single steps and one long advance reach the same state and reports.
+        protocol, extra = FOLD_CASES[case]
+        doc = config(**{"protocol": protocol, "rho": 0.9, "rounds": 2000, **extra})
+        expected = run_simulation(doc)
+        whole = []
+        Engine(doc).advance(doc["rounds"], whole)
+
+        eng = Engine(doc)
+        reports = []
+        for stop in (1, 7, 500):
+            eng.advance(stop, reports)
+        at_500 = eng.acc.snapshot()
+        assert at_500.rounds == 500 and reports == whole[:500]
+        for stop in (500, 3, 0):   # at or below the current round: plays nothing
+            eng.advance(stop, reports)
+        assert eng.round == 500 and len(reports) == 500
+        assert eng.acc.snapshot() == at_500
+        eng.advance(doc["rounds"], reports)
+        assert reports == whole
+        assert eng.run() == expected
+
+        stepped = Engine(doc)
+        assert [stepped.step() for _ in range(500)] == whole[:500]
+        assert stepped.acc.snapshot() == at_500
+        assert stepped.run() == expected
+
+
 class TestMetricFold:
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
     def test_running_sums_match_the_reference_fold(self, case):
@@ -203,34 +242,17 @@ class TestRunSimulation:
     def test_conservation_at_every_round(self):
         # Drives the loop with reports on and checks the final balance against
         # the queues themselves, not only against the counters.
-        result = run_simulation(config(protocol="backoff(linear)", rounds=5000),
-                                collect_reports=True)
+        result, reports = run_with_reports(config(protocol="backoff(linear)", rounds=5000))
         assert result.injected == result.delivered + result.queued_total
         assert sum(result.final_queues) == result.queued_total
-        assert len(result.reports) == 5000
-        assert sum(r.injections for r in result.reports) == result.injected
+        assert len(reports) == 5000
+        assert sum(r.injections for r in reports) == result.injected
 
     def test_determinism_of_report_stream(self):
-        a = run_simulation(config(rounds=2000), collect_reports=True)
-        b = run_simulation(config(rounds=2000), collect_reports=True)
-        assert a.reports == b.reports
+        a, a_reports = run_with_reports(config(rounds=2000))
+        b, b_reports = run_with_reports(config(rounds=2000))
+        assert a_reports == b_reports
         assert a.metrics == b.metrics
-
-    def test_checkpoints_snapshot_running_metrics(self):
-        result = run_simulation(config(rounds=2000), checkpoint_rounds=[500, 1500])
-        assert [r for r, _ in result.checkpoints] == [500, 1500]
-        assert result.checkpoints[0][1].rounds == 500
-
-    def test_checkpoints_and_reports_together(self):
-        result = run_simulation(config(rounds=2000), collect_reports=True,
-                                checkpoint_rounds=[2000, 500, 1500, 5000])
-        assert [r for r, _ in result.checkpoints] == [500, 1500, 2000]
-        assert len(result.reports) == 2000
-        assert result.checkpoints[-1][1] == result.metrics
-        stepped = Engine(config(rounds=2000), checkpoint_rounds=[500])
-        for _ in range(600):
-            stepped.step()
-        assert stepped.checkpoints == [result.checkpoints[0]]
 
     def test_restrain_limit_enforced(self):
         with pytest.raises(RestrainViolation):
@@ -278,9 +300,9 @@ class TestAdaptiveTraceInvariants:
         fam = selectors.generate_selector_random(8, 4, 3, 20, rng)
         path = tmp_path / "fam.json"
         selectors.save_family_file(path, fam)
-        eng = Engine(config(protocol=f"interleaved({path})", rho=0.8),
-                     collect_reports=True)
+        eng = Engine(config(protocol=f"interleaved({path})", rho=0.8))
         oracle = eng.system.schedule_oracle()
-        result = eng.run()
-        for t, report in enumerate(result.reports, start=1):
+        reports = []
+        eng.advance(eng.config.rounds, reports)
+        for t, report in enumerate(reports, start=1):
             assert report.on_mode == len(oracle(t))

@@ -16,7 +16,7 @@ from pathlib import Path
 from channel_lab import selectors
 from channel_lab.cli import CSV_FIELDS, render_csv
 from channel_lab.core import derive_stream
-from channel_lab.engine import run_simulation
+from channel_lab.engine import Engine, run_simulation
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden.csv"
@@ -73,9 +73,11 @@ def golden_text() -> str:
     lines = [",".join(CSV_FIELDS + tuple(f"cp_{f}" for f in SNAPSHOT_FIELDS))]
     checkpointed = [cell for cell in cells() if cell[1] == 8 and cell[2] == 0]
     for cell in checkpointed:
-        result = run_simulation(config(*cell), checkpoint_rounds=[CHECKPOINT])
-        (cp_round, snapshot), = result.checkpoints
-        assert cp_round == CHECKPOINT
+        eng = Engine(config(*cell))
+        eng.advance(CHECKPOINT)
+        snapshot = eng.acc.snapshot()
+        assert snapshot.rounds == CHECKPOINT
+        result = eng.run()
         row = render_csv([result]).splitlines()[1]
         lines.append(row + "," + ",".join(repr(getattr(snapshot, f))
                                           for f in SNAPSHOT_FIELDS))

@@ -269,29 +269,23 @@ class TestBackoffWindow:
 
 
 class TestBackoffStation:
-    def test_empty_queue_stays_off(self):
-        st = BackoffStation(1, "exponential", derive_stream(0, "backoff.1"))
-        assert st.decide(1, 0).kind == "off"
-        assert st.slot is None
-
     def test_fresh_packet_transmits_in_unit_window(self):
         st = BackoffStation(1, "exponential", derive_stream(0, "backoff.1"))
-        assert st.decide(1, 1).kind == "transmit"  # window(0) = 1
+        assert st.draw_slot(1) == 1 and st.slot == 1  # window(0) = 1
 
     def test_failure_grows_the_window(self):
         st = BackoffStation(1, "exponential", derive_stream(0, "backoff.1"))
-        st.decide(1, 1)
+        st.draw_slot(1)
         st.on_failure()
         assert st.attempts == 1 and st.slot is None
-        action = st.decide(2, 1)
-        assert st.slot in (2, 3)  # window(1) = 2
-        assert action.kind == ("transmit" if st.slot == 2 else "off")
+        assert st.draw_slot(2) in (2, 3)  # window(1) = 2
 
     def test_success_resets_the_counter(self):
         st = BackoffStation(1, "square", derive_stream(0, "backoff.1"))
-        st.decide(1, 1)
+        st.draw_slot(1)
         st.on_failure()
         st.on_failure()
+        st.draw_slot(3)
         st.on_success()
         assert st.attempts == 0 and st.slot is None
 
@@ -309,23 +303,23 @@ def backoff_config(n=4, kind="exponential", plan=(), initial=None, rounds=100, *
 
 class TestBackoffSystem:
     def test_packet_into_empty_station_transmits_in_its_round(self):
-        eng = Engine(backoff_config(plan=[(5, 3, 1)]), collect_reports=True)
+        eng = Engine(backoff_config(plan=[(5, 3, 1)]))
+        reports = []
+        eng.advance(eng.config.rounds, reports)
         result = eng.run()
-        kinds = [report.observation.kind for report in result.reports[:5]]
+        kinds = [report.observation.kind for report in reports[:5]]
         assert kinds == ["silence"] * 4 + ["single"]
-        assert result.reports[4].observation.sender == 3
+        assert reports[4].observation.sender == 3
         assert result.final_queues == (0, 0, 0, 0)
 
     def test_station_emptied_by_a_success_leaves_the_calendar(self):
-        eng = Engine(backoff_config(plan=[(1, 2, 2), (9, 2, 1)], rounds=12),
-                     collect_reports=True)
-        for _ in range(4):
-            eng.step()
+        eng = Engine(backoff_config(plan=[(1, 2, 2), (9, 2, 1)], rounds=12))
+        reports = [eng.step() for _ in range(4)]
         system = eng.system
         assert eng.queues[1] == 0
         assert system.calendar == {}
         assert system.stations[1].slot is None
-        reports = eng.run().reports
+        eng.advance(eng.config.rounds, reports)
         senders = [(r, rep.observation.sender) for r, rep in enumerate(reports, start=1)
                    if rep.delivered]
         assert senders == [(1, 2), (2, 2), (9, 2)]
@@ -361,10 +355,13 @@ class TestBackoffSystem:
     def test_single_station_sends_whenever_it_holds_a_packet(self, kind):
         config = backoff_config(n=1, kind=kind, rho=0.7, rounds=3000,
                                 distribution=DistributionSpec("flat"))
-        result = Engine(config, collect_reports=True).run()
+        eng = Engine(config)
+        reports = []
+        eng.advance(eng.config.rounds, reports)
+        result = eng.run()
         assert result.collisions == 0
         queue = 0
-        for report in result.reports:
+        for report in reports:
             queue += report.injections
             assert report.delivered == (queue > 0)
             queue -= report.delivered
