@@ -96,7 +96,8 @@ def expand_sweep(doc: dict):
 
     A sweep document is a run configuration whose `n` and `rho` may be lists
     and whose `seed` is replaced by `seeds`: either an explicit list or an
-    integer count meaning seeds 0..count-1. Cells come in (n, rho, seed)
+    integer count >= 1 meaning seeds 0..count-1. An empty `n`, `rho` or
+    `seeds` list is an error, not an empty sweep. Cells come in (n, rho, seed)
     order. The whole grid is checked before the first cell is yielded: each
     n is validated once (so a family file is read once per n), and every rho
     and seed on its own, since the cells of one n differ only in those two.
@@ -108,13 +109,17 @@ def expand_sweep(doc: dict):
     seeds = doc.get("seeds", None)
     if seeds is None:
         raise ConfigError("sweep config needs 'seeds' (list or count)", "seeds")
-    if isinstance(seeds, int):
-        seeds = range(seeds)
+    if isinstance(seeds, (list, tuple)):
+        seeds = [_require_int(seed, "seed", 0, _MASK64) for seed in seeds]
+    else:
+        seeds = range(_require_int(seeds, "seeds", 1, _MASK64 + 1))
+    n_values = _as_list(doc.get("n"))
     rhos = [_require_prob(rho, "rho") for rho in _as_list(doc.get("rho"))]
-    seeds = [_require_int(seed, "seed", 0, _MASK64) for seed in seeds]
+    for name, values in (("n", n_values), ("rho", rhos), ("seeds", seeds)):
+        if not values:
+            raise ConfigError(f"sweep config has an empty '{name}' list", name)
     base = {k: v for k, v in doc.items() if k not in _SWEEP_ONLY_KEYS}
-    configs = [validate_config(dict(base, n=n, rho=rhos[0], seed=seeds[0]))
-               for n in _as_list(doc.get("n"))] if rhos and seeds else []
+    configs = [validate_config(dict(base, n=n, rho=rhos[0], seed=seeds[0])) for n in n_values]
     for config in configs:
         for rho in rhos:
             for seed in seeds:

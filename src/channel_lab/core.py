@@ -245,20 +245,20 @@ def _parse_distribution(value, n: int) -> DistributionSpec:
             return DistributionSpec("single", target=target)
         raise ConfigError(f"unknown distribution {value!r}", "distribution")
     if isinstance(value, dict) and set(value) == {"plan"}:
+        plan = value["plan"]
+        if not isinstance(plan, (list, tuple)):
+            raise ConfigError(f"distribution plan must be a list of entries, got {plan!r}",
+                              "distribution")
         entries = []
-        for item in value["plan"]:
+        for item in plan:
             try:
-                rnd, sid, cnt = int(item["round"]), int(item["station"]), int(item["count"])
-            except (KeyError, TypeError, ValueError):
+                rnd, sid, cnt = item["round"], item["station"], item["count"]
+            except (KeyError, TypeError):
                 raise ConfigError("plan entries need integer round/station/count",
                                   "distribution") from None
-            if rnd < 1:
-                raise RangeError("distribution.plan.round", ">= 1", rnd)
-            if not 1 <= sid <= n:
-                raise RangeError("distribution.plan.station", f"in [1, {n}]", sid)
-            if cnt < 0:
-                raise RangeError("distribution.plan.count", ">= 0", cnt)
-            entries.append((rnd, sid, cnt))
+            entries.append((_require_int(rnd, "distribution.plan.round", 1),
+                            _require_int(sid, "distribution.plan.station", 1, n),
+                            _require_int(cnt, "distribution.plan.count", 0)))
         entries.sort()
         return DistributionSpec("plan", plan=tuple(entries))
     raise ConfigError(f"cannot parse distribution {value!r}", "distribution")

@@ -3,13 +3,17 @@ fixed-schedule round-robin and interleaved selectors, three backoff variants,
 and the centralized state-aware comparator. PROTOCOLS, at the end, is the one
 table of protocol names that config validation and the engine read.
 
-Token stations expose decide(round, queue_len) -> StationAction and
+Both token families share the TokenStation base (token list, initial roles,
+position). Token stations expose decide(round, queue_len) -> StationAction and
 observe(round, observation, own_ack); decide mutates only transmission-phase
 state, observe is the sole channel-feedback mutator. Backoff stations expose
 draw_slot, on_success and on_failure. A per-protocol system object drives the
-stations without polling them: idle token stations sit in a wake calendar, and
-each backlogged backoff station sits in a slot calendar under the one round it
-drew, so a round costs work only for the stations that act.
+stations without polling them: TokenSystem keeps one list of the non-idle
+token stations and files idle ones in a wake calendar, and each backlogged
+backoff station sits in a slot calendar under the one round it drew, so a
+round costs work only for the stations that act. The fixed schedules
+(round robin, interleaved) and the state-aware choice are computed inside
+their drivers' `actions`.
 """
 
 from __future__ import annotations
@@ -46,14 +50,13 @@ def _move_to_front(order: list[int], sid: int) -> None:
 # Token-cycle stations (adaptive and full-sensing)
 # ---------------------------------------------------------------------------
 
-class AdaptiveStation:
-    """Token-cycle station that marks its packets with big/last-big bits.
+class TokenStation:
+    """State shared by both token-cycle families.
 
-    One station holds the transmit token per round while its successor on the
-    shared list listens; a station whose queue exceeds 3n keeps the token as
-    "big" until an end-of-cycle round finds it back at or below 3n, then
-    announces the handoff for one more full cycle so every station moves it to
-    the front of its local list.
+    Every station keeps its own copy of the shared token list. Station 1
+    starts with the token, station 2 listens, and every other station sleeps
+    until its first listening slot. The driver wakes a sleeping station by
+    setting it LISTENING in its wake round.
     """
 
     __slots__ = ("sid", "n", "state", "order", "wake_round")
@@ -75,8 +78,18 @@ class AdaptiveStation:
     def position(self) -> int:
         return self.order.index(self.sid)
 
-    def wake(self) -> None:
-        self.state = LISTENING
+
+class AdaptiveStation(TokenStation):
+    """Token-cycle station that marks its packets with big/last-big bits.
+
+    One station holds the transmit token per round while its successor on the
+    shared list listens; a station whose queue exceeds 3n keeps the token as
+    "big" until an end-of-cycle round finds it back at or below 3n, then
+    announces the handoff for one more full cycle so every station moves it to
+    the front of its local list.
+    """
+
+    __slots__ = ()
 
     def decide(self, round_no: int, queue_len: int) -> StationAction:
         n = self.n
@@ -130,7 +143,7 @@ class AdaptiveStation:
             self.state = TRANSMITTING
 
 
-class FullSensingStation:
+class FullSensingStation(TokenStation):
     """Token-cycle station that infers big stations from IDs and collisions.
 
     Without control bits, a listener learns about a big station either by
@@ -140,29 +153,14 @@ class FullSensingStation:
     makes an interrupted transmitter sleep about k*n rounds.
     """
 
-    __slots__ = ("sid", "n", "state", "order", "wake_round", "variant_k",
-                 "transmitted", "queue_seen", "token_from_exit")
+    __slots__ = ("variant_k", "transmitted", "queue_seen", "token_from_exit")
 
     def __init__(self, sid: int, n: int, variant_k: int = 0):
-        self.sid = sid
-        self.n = n
+        super().__init__(sid, n)
         self.variant_k = variant_k
-        self.order = list(range(1, n + 1))
         self.transmitted = False
         self.queue_seen = 0
         self.token_from_exit = False
-        if sid == 1:
-            self.state = TRANSMITTING
-            self.wake_round = 0
-        elif sid == 2:
-            self.state = LISTENING
-            self.wake_round = 0
-        else:
-            self.state = IDLE
-            self.wake_round = sid - 1
-
-    def position(self) -> int:
-        return self.order.index(self.sid)
 
     def predecessor(self) -> int:
         return self.order[self.position() - 1]
@@ -184,9 +182,6 @@ class FullSensingStation:
         cycle_close = round_no + (-round_no) % n
         position = self.position()
         return cycle_close + (position if position >= 1 else n)
-
-    def wake(self) -> None:
-        self.state = LISTENING
 
     def decide(self, round_no: int, queue_len: int) -> StationAction:
         state = self.state
@@ -261,62 +256,8 @@ class FullSensingStation:
 
 
 # ---------------------------------------------------------------------------
-# Schedule helpers (acknowledgment-based protocols)
+# Backoff stations
 # ---------------------------------------------------------------------------
-
-def round_robin_turn(round_no: int, n: int) -> int:
-    """Station allowed to transmit alone in this round (1-based everywhere)."""
-    return (round_no - 1) % n + 1
-
-
-@dataclass
-class InterleavedState:
-    """Per-level selector families cycled one set per level per pass."""
-
-    levels: int
-    families: tuple[SelectorFamily, ...]
-
-
-def singleton_family(n: int, omega: int) -> SelectorFamily:
-    return SelectorFamily(n, omega, 1, tuple((i,) for i in range(1, n + 1)),
-                          "singletons")
-
-
-def build_interleaved_state(n: int, families) -> InterleavedState:
-    """Assign one family per level omega = 2^i, falling back to singletons.
-
-    A level uses the first provided family whose omega matches; levels with no
-    usable family run the plain one-station-per-round schedule.
-    """
-    levels = max(1, math.ceil(math.log2(n)))
-    chosen = []
-    for i in range(1, levels + 1):
-        omega = 2 ** i
-        pick = None
-        for fam in families:
-            if fam.omega == omega and fam.n == n:
-                pick = fam
-                break
-        chosen.append(pick if pick is not None else singleton_family(n, omega))
-    return InterleavedState(levels, tuple(chosen))
-
-
-def interleaved_schedule(t: int, state: InterleavedState) -> tuple[int, int]:
-    """Decompose round t = j*L + i into (level i, 1-based set index)."""
-    levels = state.levels
-    i = (t - 1) % levels + 1
-    j = (t - i) // levels
-    m_i = len(state.families[i - 1].sets)
-    return i, j % m_i + 1
-
-
-def state_aware_choose(queues) -> int | None:
-    """Lowest-ID station among the largest queues; None when all are empty."""
-    best = max(queues)
-    if best == 0:
-        return None
-    return queues.index(best) + 1
-
 
 def backoff_window(kind: str, i: int) -> int:
     """Contention window after i failures, capped at 2048 and floored at 1."""
@@ -371,6 +312,9 @@ class ProtocolSystem:
     wants_feedback = False
     wants_injection_notes = False
 
+    def __init__(self, config: SimConfig):
+        self.n = config.n
+
     def actions(self, round_no: int, queues) -> tuple[list, int]:
         """Return ([(station, bits), ...] transmit attempts, on-mode count)."""
         raise NotImplementedError
@@ -387,44 +331,46 @@ class ProtocolSystem:
 
 
 class TokenSystem(ProtocolSystem):
-    """Drives token-cycle stations, built by the subclass, through the wake calendar."""
+    """Drives token-cycle stations, built by the subclass, through the wake calendar.
+
+    `active` holds the stations that are not idle; a station leaves it the
+    moment it goes idle and is filed in `calendar` under its wake round. The
+    stations still active after `decide` are exactly the ones that switched on
+    this round, so they are the ones that observe the channel. Each `decide`
+    and `observe` touches only its own station, so the list needs no order.
+    """
 
     wants_feedback = True
 
     def __init__(self, config: SimConfig):
         self.stations = [self.make_station(sid, config) for sid in range(1, config.n + 1)]
-        self.calendar: dict[int, list] = {}
+        # Stations start idle only in their own first listening slot, one each.
+        self.calendar = {st.wake_round: [st] for st in self.stations if st.state is IDLE}
         self.active = [st for st in self.stations if st.state is not IDLE]
-        for st in self.stations:
-            if st.state is IDLE:
-                self.calendar.setdefault(st.wake_round, []).append(st)
-        self._observers = []
 
     def actions(self, round_no: int, queues):
-        for st in self.calendar.pop(round_no, ()):
-            st.wake()
-            self.active.append(st)
+        active = self.active
+        woken = self.calendar.pop(round_no, None)
+        if woken:
+            for st in woken:
+                st.state = LISTENING
+            active += woken
         attempts = []
-        observers = []
         on_count = 0
         still_active = []
-        for st in self.active:
+        for st in active:
             action = st.decide(round_no, queues[st.sid - 1])
             kind = action.kind
             if kind == "transmit":
                 attempts.append((st.sid, action.bits))
-                observers.append(st)
                 on_count += 1
             elif kind == "listen":
-                observers.append(st)
                 on_count += 1
             if st.state is IDLE:
                 self.calendar.setdefault(st.wake_round, []).append(st)
             else:
                 still_active.append(st)
         self.active = still_active
-        observers.sort(key=lambda st: st.sid)
-        self._observers = observers
         if len(attempts) > 1 and isinstance(self.stations[0], AdaptiveStation):
             raise ProtocolInvariantBroken(
                 f"round {round_no}: {len(attempts)} adaptive stations transmitted")
@@ -432,10 +378,8 @@ class TokenSystem(ProtocolSystem):
 
     def finish_round(self, round_no, obs, success_sid, queues):
         dropped = False
-        for st in self._observers:
-            if st.state is IDLE:
-                continue  # went idle during its own decide; hears nothing
-            st.observe(round_no, obs, own_ack=(st.sid == success_sid))
+        for st in self.active:
+            st.observe(round_no, obs, st.sid == success_sid)
             if st.state is IDLE:
                 self.calendar.setdefault(st.wake_round, []).append(st)
                 dropped = True
@@ -459,9 +403,6 @@ class FullSensingSystem(TokenSystem):
 class RoundRobinSystem(ProtocolSystem):
     """One scheduled station per round; it listens when it has nothing to send."""
 
-    def __init__(self, config: SimConfig):
-        self.n = config.n
-
     def actions(self, round_no: int, queues):
         sid = (round_no - 1) % self.n + 1
         if queues[sid - 1] > 0:
@@ -474,15 +415,19 @@ class RoundRobinSystem(ProtocolSystem):
 
 
 class InterleavedSystem(ProtocolSystem):
-    """Cycles the per-level selector sets; set members are on every time."""
+    """Cycles the per-level selector sets; set members are on every time.
+
+    `config.protocol.families` holds one family per level. Round
+    t = j*L + i + 1 (level i in 0..L-1) plays set j mod m_i of level i.
+    """
 
     def __init__(self, config: SimConfig):
-        self.n = config.n
-        self.state = build_interleaved_state(config.n, config.protocol.families)
+        self.families = config.protocol.families
 
     def active_set(self, round_no: int) -> tuple[int, ...]:
-        level, index = interleaved_schedule(round_no, self.state)
-        return self.state.families[level - 1].sets[index - 1]
+        j, i = divmod(round_no - 1, len(self.families))
+        sets = self.families[i].sets
+        return sets[j % len(sets)]
 
     def actions(self, round_no: int, queues):
         members = self.active_set(round_no)
@@ -559,16 +504,16 @@ class BackoffSystem(ProtocolSystem):
 
 
 class StateAwareSystem(ProtocolSystem):
-    """Centralized comparator: the largest queue transmits each round."""
+    """Centralized comparator: the largest queue transmits each round.
 
-    def __init__(self, config: SimConfig):
-        self.n = config.n
+    Ties go to the lowest ID; a round with every queue empty is silent.
+    """
 
     def actions(self, round_no: int, queues):
-        sid = state_aware_choose(queues)
-        if sid is None:
+        best = max(queues)
+        if best == 0:
             return [], 0
-        return [(sid, None)], 1
+        return [(queues.index(best) + 1, None)], 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +543,11 @@ def _parse_variant_k(arg: str | None, n: int) -> dict:
 
 
 def _parse_family_file(arg: str | None, n: int) -> dict:
-    """Load the family file; the spec keeps only the families the schedule uses."""
+    """Load the family file and keep one family per level omega = 2^i.
+
+    A level uses the first family in the file whose omega matches; a level
+    with none runs the plain one-station-per-round schedule.
+    """
     if not arg:
         raise MissingParameter("interleaved requires a selector family file: interleaved(path)",
                                "protocol")
@@ -610,7 +559,13 @@ def _parse_family_file(arg: str | None, n: int) -> dict:
     for fam in families:
         if fam.n != n:
             raise ConfigError(f"selector family has n={fam.n}, run has n={n}", "protocol")
-    return {"selector_path": arg, "families": build_interleaved_state(n, families).families}
+    singletons = tuple((i,) for i in range(1, n + 1))
+    chosen = []
+    for i in range(1, max(1, math.ceil(math.log2(n))) + 1):
+        omega = 2 ** i
+        chosen.append(next((fam for fam in families if fam.omega == omega), None)
+                      or SelectorFamily(n, omega, 1, singletons, "singletons"))
+    return {"selector_path": arg, "families": tuple(chosen)}
 
 
 def _largest_scheduled_set(protocol: ProtocolSpec) -> int:

@@ -54,6 +54,17 @@ class TestRunCommand:
         assert dispatch(["run", "--config", str(path)]) == 1
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("plan", ['5', '[{"round": 1, "station": 1, "count": 1e400}]',
+                                      '[{"round": 1.9, "station": 1, "count": 2}]'])
+    def test_bad_plan_exits_one_without_traceback(self, tmp_path, capsys, plan):
+        path = tmp_path / "config.json"
+        path.write_text('{"n": 8, "protocol": "adaptive", "rho": 1.0, "rounds": 20, '
+                        f'"seed": 5, "distribution": {{"plan": {plan}}}}}')
+        assert dispatch(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "plan" in err
+        assert "Traceback" not in err
+
     def test_invariant_violation_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, protocol="backoff(exponential)", rho=0.9,
                             rounds=5000, restrain_limit=1)
@@ -202,6 +213,19 @@ class TestSweep:
     def test_seed_count_shorthand(self):
         cells = list(expand_sweep(self.sweep_doc(seeds=4)))
         assert {c.seed for c in cells} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": 2.5}, {"seeds": -3}, {"seeds": 0}, {"seeds": True}, {"seeds": "3"},
+        {"seeds": []}, {"n": []}, {"rho": []},
+    ])
+    def test_bad_grid_exits_one_before_any_output(self, tmp_path, capsys, overrides):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(self.sweep_doc(**overrides)))
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(overrides)) in err
+        assert not out.exists()
 
     def test_sweep_size_matches_expansion(self):
         doc = self.sweep_doc(n=[4, 8])

@@ -188,6 +188,26 @@ class TestDistributionField:
         with pytest.raises(ConfigError):
             validate_config(dict(BASE, distribution="poisson"))
 
+    @pytest.mark.parametrize("plan, field", [
+        (5, "distribution"),
+        ("round 1", "distribution"),
+        ({"round": 1, "station": 1, "count": 1}, "distribution"),
+        ([5], "distribution"),
+        ([{"round": 1, "station": 1}], "distribution"),
+        ([{"round": 1.9, "station": 1, "count": 1}], "distribution.plan.round"),
+        ([{"round": 1, "station": True, "count": 1}], "distribution.plan.station"),
+        ([{"round": 1, "station": 1, "count": 2.7}], "distribution.plan.count"),
+        ([{"round": 1, "station": 1, "count": float("inf")}], "distribution.plan.count"),
+        ([{"round": 1, "station": 1, "count": "2"}], "distribution.plan.count"),
+        ([{"round": 0, "station": 1, "count": 1}], "distribution.plan.round"),
+        ([{"round": 1, "station": 33, "count": 1}], "distribution.plan.station"),
+        ([{"round": 1, "station": 1, "count": -1}], "distribution.plan.count"),
+    ])
+    def test_bad_plan_entries_rejected(self, plan, field):
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(BASE, distribution={"plan": plan}))
+        assert err.value.field == field
+
 
 class TestAdaptiveBits:
     def test_big_and_last_big_exclusive(self):

@@ -35,6 +35,7 @@ def test_tracer_sees_every_round_and_changes_nothing(monkeypatch):
 
     assert (engine.Engine.__init__, engine.adversary_step, cli.render_csv) == originals
     assert tracer.stats["protocols.actions"][0] == ROUNDS
+    assert tracer.stats["protocols.finish_round"][0] == ROUNDS
     assert tracer.stats["adversary.step"][0] == ROUNDS
     assert tracer.stats["engine.init"][0] == 1
     assert tracer.counts["cli.rows"] == 1

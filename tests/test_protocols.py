@@ -7,10 +7,10 @@ from channel_lab.core import (
 )
 from channel_lab.engine import Engine
 from channel_lab.protocols import (
-    AdaptiveStation, BackoffStation, BackoffSystem, FullSensingStation, backoff_window,
-    build_interleaved_state, interleaved_schedule, round_robin_turn,
-    singleton_family, state_aware_choose,
+    AdaptiveStation, BackoffStation, BackoffSystem, FullSensingStation, InterleavedSystem,
+    RoundRobinSystem, StateAwareSystem, backoff_window,
 )
+from channel_lab import selectors
 from channel_lab.selectors import SelectorFamily
 
 N = 8
@@ -187,57 +187,79 @@ class TestFullSensingStation:
         assert st.state == "big"
 
 
+def round_robin_oracle(n):
+    cfg = validate_config({"n": n, "protocol": "round_robin", "rho": 0.5,
+                           "rounds": 10, "seed": 0})
+    return RoundRobinSystem(cfg).schedule_oracle()
+
+
 class TestRoundRobin:
     def test_first_round_is_station_one(self):
-        assert round_robin_turn(1, 4) == 1
+        assert round_robin_oracle(4)(1) == (1,)
 
     def test_wraparound(self):
-        assert round_robin_turn(4, 4) == 4
-        assert round_robin_turn(5, 4) == 1
+        oracle = round_robin_oracle(4)
+        assert oracle(4) == (4,)
+        assert oracle(5) == (1,)
 
     def test_station_three_pattern(self):
-        turns = [r for r in range(1, 17) if round_robin_turn(r, 4) == 3]
+        oracle = round_robin_oracle(4)
+        turns = [r for r in range(1, 17) if oracle(r) == (3,)]
         assert turns == [3, 7, 11, 15]
 
 
 class TestInterleavedSchedule:
-    def make_state(self, lengths):
-        fams = []
+    def make_schedule(self, lengths):
+        """round -> (level, 1-based set index) of a system whose level i has
+        lengths[i - 1] sets of i stations, so no two levels share a set."""
+        fams, where = [], {}
         for i, m in enumerate(lengths, start=1):
-            sets = tuple((j % 8 + 1,) for j in range(m))
-            fams.append(SelectorFamily(8, 2 ** i, 1, sets))
-        return build_interleaved_state(8, fams)
+            sets = tuple(tuple(range(j + 1, j + 1 + i)) for j in range(m))
+            fams.append(SelectorFamily(8, 2 ** i, i, sets))
+            where.update({s: (i, j) for j, s in enumerate(sets, start=1)})
+        config = SimConfig(n=8, protocol=ProtocolSpec("interleaved", families=tuple(fams)),
+                           rho=0.5, rounds=10, seed=0)
+        system = InterleavedSystem(config)
+        return lambda t: where[system.active_set(t)]
 
     def test_decomposition_level_one(self):
-        state = self.make_state([2, 5, 6])
-        assert interleaved_schedule(7, state) == (1, 1)
+        schedule = self.make_schedule([2, 5, 6])
+        assert schedule(7) == (1, 1)
 
     def test_first_pass_level_three(self):
-        state = self.make_state([2, 5, 6])
-        assert interleaved_schedule(3, state) == (3, 1)
+        schedule = self.make_schedule([2, 5, 6])
+        assert schedule(3) == (3, 1)
 
     def test_full_period_revisits_with_advanced_index(self):
-        state = self.make_state([2, 5, 6])
+        schedule = self.make_schedule([2, 5, 6])
         # Level 1 has m=2: rounds 1, 4, 7, ... alternate its two sets.
-        indices = [interleaved_schedule(t, state)[1] for t in (1, 4, 7, 10)]
+        indices = [schedule(t)[1] for t in (1, 4, 7, 10)]
         assert indices == [1, 2, 1, 2]
 
     def test_levels_cycle_in_order(self):
-        state = self.make_state([2, 5, 6])
-        levels = [interleaved_schedule(t, state)[0] for t in range(1, 10)]
+        schedule = self.make_schedule([2, 5, 6])
+        levels = [schedule(t)[0] for t in range(1, 10)]
         assert levels == [1, 2, 3, 1, 2, 3, 1, 2, 3]
 
-    def test_missing_levels_fall_back_to_singletons(self):
+    def test_missing_levels_fall_back_to_singletons(self, tmp_path):
         fam = SelectorFamily(8, 4, 2, ((1, 2), (3, 4), (5, 6), (7, 8)))
-        state = build_interleaved_state(8, (fam,))
-        assert state.levels == 3
-        assert state.families[1] is fam  # omega = 4 is level 2
-        assert state.families[0].provenance == "singletons"
-        assert state.families[2].provenance == "singletons"
+        path = tmp_path / "fam.json"
+        selectors.save_family_file(path, fam)
+        cfg = validate_config({"n": 8, "protocol": f"interleaved({path})",
+                               "rho": 0.5, "rounds": 10, "seed": 0})
+        families = cfg.protocol.families
+        assert len(families) == 3
+        assert families[1] == fam  # omega = 4 is level 2
+        assert families[0].provenance == "singletons"
+        assert families[2].provenance == "singletons"
 
-    def test_singleton_family_shape(self):
-        fam = singleton_family(4, 2)
-        assert fam.sets == ((1,), (2,), (3,), (4,))
+    def test_singleton_family_shape(self, tmp_path):
+        fam = SelectorFamily(4, 4, 2, ((1, 2), (3, 4)))
+        path = tmp_path / "fam.json"
+        selectors.save_family_file(path, fam)
+        cfg = validate_config({"n": 4, "protocol": f"interleaved({path})",
+                               "rho": 0.5, "rounds": 10, "seed": 0})
+        assert cfg.protocol.families[0].sets == ((1,), (2,), (3,), (4,))
 
 
 class TestBackoffWindow:
@@ -369,6 +391,14 @@ class TestBackoffSystem:
         assert result.delivered > 1000
 
 
+def state_aware_choose(queues):
+    attempts, on_count = StateAwareSystem(SimConfig(
+        n=len(queues), protocol=ProtocolSpec("state_aware"), rho=0.5, rounds=10,
+        seed=0)).actions(1, list(queues))
+    assert on_count == len(attempts)
+    return attempts[0][0] if attempts else None
+
+
 class TestStateAwareChoose:
     def test_all_empty_is_none(self):
         assert state_aware_choose([0, 0, 0]) is None
@@ -382,16 +412,10 @@ class TestStateAwareChoose:
 
 class TestScheduleOracles:
     def test_round_robin_oracle_matches_turn_function(self):
-        from channel_lab.protocols import RoundRobinSystem
-        cfg = validate_config({"n": 4, "protocol": "round_robin", "rho": 0.5,
-                               "rounds": 10, "seed": 0})
-        oracle = RoundRobinSystem(cfg).schedule_oracle()
-        for r in range(1, 13):
-            assert oracle(r) == (round_robin_turn(r, 4),)
+        oracle = round_robin_oracle(4)
+        assert [oracle(r) for r in range(1, 13)] == [(1,), (2,), (3,), (4,)] * 3
 
     def test_interleaved_oracle_matches_schedule(self, tmp_path):
-        from channel_lab import selectors
-        from channel_lab.protocols import InterleavedSystem
         rng = derive_stream(1, "gen")
         fam = selectors.generate_selector_random(8, 4, 2, 20, rng)
         path = tmp_path / "fam.json"
@@ -400,6 +424,14 @@ class TestScheduleOracles:
                                "rho": 0.5, "rounds": 10, "seed": 0})
         system = InterleavedSystem(cfg)
         oracle = system.schedule_oracle()
+        families = cfg.protocol.families
+        levels = len(families)
+        # Level i plays its sets in order in rounds i, i + L, i + 2L, ...
+        for i, level_family in enumerate(families, start=1):
+            m = len(level_family.sets)
+            played = [oracle(i + j * levels) for j in range(2 * m)]
+            assert played == list(level_family.sets) * 2
         for t in range(1, 40):
-            level, idx = interleaved_schedule(t, system.state)
-            assert oracle(t) == system.state.families[level - 1].sets[idx - 1]
+            attempts, on_count = system.actions(t, [1] * 8)
+            assert tuple(sid for sid, _ in attempts) == oracle(t)
+            assert on_count == len(oracle(t))
