@@ -1,10 +1,19 @@
 """Packet injection: the stochastic stock adversary, leaky-bucket compliance
 checking, and schedule-targeting attack plans against fixed-schedule protocols.
+
+The adversary is a stream of release events. `releases(state, rng, start,
+stop)` yields `(round, {station: count})` only for the rounds in
+start+1..stop that inject packets, so the engine's round loop does adversary
+work only in those rounds. The adversary draws from its own random stream,
+never from the protocol's, so the events depend only on the seed and the
+adversary's parameters. `adversary_step` plays one round through the same
+stream.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +39,11 @@ class Focused:
     def __init__(self, n: int):
         self.n = n
         self._p1 = Fraction(1, 3) + Fraction(1, 3 * n)
-        self._t1 = float(self._p1)
-        self._t2 = float(2 * self._p1)
-        self._tail = 1.0 / (3 * n)
+        # A uniform u below t1 picks station 1, below t2 station 2, and
+        # station 3 + int((u - t2) / tail) otherwise, at most n.
+        self.t1 = float(self._p1)
+        self.t2 = float(2 * self._p1)
+        self.tail = 1.0 / (3 * n)
 
     def probability(self, station: int) -> Fraction:
         if station in (1, 2):
@@ -40,12 +51,13 @@ class Focused:
         return Fraction(1, 3 * self.n)
 
     def sample(self, rng) -> int:
+        """One packet's target from one rng.random(); `releases` inlines this law."""
         u = rng.random()
-        if u < self._t1:
+        if u < self.t1:
             return 1
-        if u < self._t2:
+        if u < self.t2:
             return 2
-        station = 3 + int((u - self._t2) / self._tail)
+        station = 3 + int((u - self.t2) / self.tail)
         return min(station, self.n)
 
 
@@ -60,9 +72,6 @@ class Flat:
     def probability(self, station: int) -> Fraction:
         return Fraction(1, self.n)
 
-    def sample(self, rng) -> int:
-        return rng.randrange(self.n) + 1
-
 
 class SingleTarget:
     """Every packet goes to one fixed station."""
@@ -71,9 +80,6 @@ class SingleTarget:
 
     def __init__(self, target: int):
         self.target = target
-
-    def sample(self, rng) -> int:
-        return self.target
 
 
 class Plan:
@@ -88,10 +94,15 @@ class Plan:
             if cnt:
                 row = by_round.setdefault(rnd, {})
                 row[sid] = row.get(sid, 0) + cnt
+        self._rounds = sorted(by_round)
         self._by_round = by_round
 
-    def injections_for(self, round_no: int) -> dict[int, int]:
-        return self._by_round.get(round_no, {})
+    def releases(self, start: int, stop: int):
+        """Yield (round, {station: count}) for the planned rounds in start+1..stop."""
+        rounds, by_round = self._rounds, self._by_round
+        for i in range(bisect_right(rounds, start), bisect_right(rounds, stop)):
+            rnd = rounds[i]
+            yield rnd, by_round[rnd]
 
     def total(self) -> int:
         return sum(cnt for _, _, cnt in self.entries)
@@ -132,24 +143,62 @@ class AdversaryState:
     stock: int = 0
 
 
-def adversary_step(state: AdversaryState, round_no: int, rng) -> dict[int, int]:
-    """Advance the adversary one round; returns {station: packets} injected."""
+def releases(state: AdversaryState, rng, start: int, stop: int):
+    """Yield (round, {station: packets}) for each round in start+1..stop that injects.
+
+    Each round draws two rng.random() (the stock grows with the first, a burst
+    comes with the second), then one draw per released packet: rng.random()
+    for a focused target, rng.randrange(n) for a flat one, none for a single
+    target. The stream is bounded by `stop`: it never draws for a later round,
+    and it writes the stock back to `state` once it is exhausted. A plan
+    yields its own rounds and draws nothing. The yielded dicts are read-only.
+    """
     dist = state.distribution
     if isinstance(dist, Plan):
-        return dist.injections_for(round_no)
+        yield from dist.releases(start, stop)
+        return
+    random, randrange = rng.random, rng.randrange
+    rho, burst_p, stock_b = state.rho, state.burst_p, state.stock_b
+    kind = dist.kind
+    if kind == "focused":
+        t1, t2, tail, n = dist.t1, dist.t2, dist.tail, dist.n
+    elif kind == "flat":
+        n = dist.n
+    stock = state.stock
+    for r in range(start + 1, stop + 1):
+        if random() < rho:
+            stock += 1
+        if (random() < burst_p or stock >= stock_b) and stock:
+            if kind == "focused":
+                out = {}
+                for _ in range(stock):
+                    u = random()
+                    if u < t1:
+                        sid = 1
+                    elif u < t2:
+                        sid = 2
+                    else:
+                        sid = 3 + int((u - t2) / tail)
+                        if sid > n:
+                            sid = n
+                    out[sid] = out.get(sid, 0) + 1
+            elif kind == "flat":
+                out = {}
+                for _ in range(stock):
+                    sid = randrange(n) + 1
+                    out[sid] = out.get(sid, 0) + 1
+            else:
+                out = {dist.target: stock}
+            stock = 0
+            yield r, out
+    state.stock = stock
 
-    if rng.random() < state.rho:
-        state.stock += 1
-    release = rng.random() < state.burst_p
-    if state.stock >= state.stock_b:
-        release = True
-    if not release or state.stock == 0:
-        return {}
+
+def adversary_step(state: AdversaryState, round_no: int, rng) -> dict[int, int]:
+    """Advance the adversary one round; returns {station: packets} injected."""
     out: dict[int, int] = {}
-    for _ in range(state.stock):
-        sid = dist.sample(rng)
-        out[sid] = out.get(sid, 0) + 1
-    state.stock = 0
+    for _, out in releases(state, rng, round_no - 1, round_no):
+        pass
     return out
 
 

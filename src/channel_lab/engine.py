@@ -5,6 +5,11 @@ Each round runs in a fixed order: the adversary injects, switched-on stations
 act, the channel resolves to silence / one delivery / collision, feedback goes
 back to the on-mode stations, and the restrain limit is asserted.
 
+The loop reads the adversary as a stream of release events
+(`adversary.releases`), opened once per `advance` and bounded by its stop: it
+holds the next release round in a local, so a round that injects nothing
+costs the adversary one comparison.
+
 `Engine.advance(stop, reports=None)` is the one way to play rounds: it plays
 up to round `stop`, appends one RoundReport per round to `reports` when given
 a list, and stops. At every stop the queues are checked against the packet
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adversary import AdversaryState, adversary_step, make_distribution
+# The loop reads the release stream. adversary_step stays importable from here
+# because perfbench/tracer.py wraps engine.adversary_step by name.
+from .adversary import AdversaryState, adversary_step, make_distribution, releases  # noqa: F401
 from .core import (
     COLLISION, SILENCE, ChannelObservation, ProtocolInvariantBroken,
     RestrainViolation, SimConfig, SimulationError, derive_stream, single,
@@ -28,6 +35,9 @@ from .core import (
 # because perfbench/tracer.py wraps engine.metrics_update by name.
 from .metrics import MetricsAccumulator, MetricsSummary, metrics_update  # noqa: F401
 from .protocols import PROTOCOLS
+
+
+NO_RELEASE = (0, None)   # what the loop reads once the release stream is spent
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,8 @@ class Engine:
         note_injections = system.note_injections if system.wants_injection_notes else None
         need_obs = finish_round is not None or reports is not None
         plain_singles = self.plain_singles
-        step_adversary = adversary_step
-        adversary = self.adversary
-        rng = self.rng_adversary
+        stream = releases(self.adversary, self.rng_adversary, start, stop)
+        next_r, injections = next(stream, NO_RELEASE)
         limit = self.limit
         n = self.n
         injected = self.injected
@@ -122,9 +131,8 @@ class Engine:
         round_max = max(queues)
 
         for r in range(start + 1, stop + 1):
-            injections = step_adversary(adversary, r, rng)
             injected_now = 0
-            if injections:
+            if r == next_r:
                 for sid, count in injections.items():
                     q = queues[sid - 1] + count
                     queues[sid - 1] = q
@@ -135,6 +143,7 @@ class Engine:
                 total += injected_now
                 if note_injections is not None:
                     note_injections(injections)
+                next_r, injections = next(stream, NO_RELEASE)
 
             attempts, on_count = actions(r, queues)
             n_attempts = len(attempts)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import selectors
 from .core import (
@@ -272,6 +272,19 @@ def backoff_window(kind: str, i: int) -> int:
     return max(1, min(BACKOFF_WINDOW_CAP, w))
 
 
+def _windows_below_cap(kind: str) -> tuple[int, ...]:
+    """backoff_window(kind, i) for i = 0, 1, ... up to the first i at the cap."""
+    windows = [backoff_window(kind, 0)]
+    while windows[-1] < BACKOFF_WINDOW_CAP:
+        windows.append(backoff_window(kind, len(windows)))
+    return tuple(windows)
+
+
+# Every window grows with i and stays at the cap once it gets there, so a
+# station reads its window from here and uses the cap past the end.
+BACKOFF_WINDOWS = {kind: _windows_below_cap(kind) for kind in BACKOFF_KINDS}
+
+
 class BackoffStation:
     """Randomized sender: pick a slot in the current window, grow it on failure.
 
@@ -279,18 +292,20 @@ class BackoffStation:
     delivered packet and never shrinks while that packet waits.
     """
 
-    __slots__ = ("sid", "kind", "attempts", "slot", "rng")
+    __slots__ = ("sid", "windows", "attempts", "slot", "rng")
 
     def __init__(self, sid: int, kind: str, rng):
         self.sid = sid
-        self.kind = kind
+        self.windows = BACKOFF_WINDOWS[kind]
         self.attempts = 0
         self.slot = None
         self.rng = rng
 
     def draw_slot(self, round_no: int) -> int:
         """Pick this station's slot in the window that opens at round_no."""
-        self.slot = slot = round_no + self.rng.randrange(backoff_window(self.kind, self.attempts))
+        windows, i = self.windows, self.attempts
+        window = windows[i] if i < len(windows) else BACKOFF_WINDOW_CAP
+        self.slot = slot = round_no + self.rng.randrange(window)
         return slot
 
     def on_success(self) -> None:
@@ -315,8 +330,12 @@ class ProtocolSystem:
     def __init__(self, config: SimConfig):
         self.n = config.n
 
-    def actions(self, round_no: int, queues) -> tuple[list, int]:
-        """Return ([(station, bits), ...] transmit attempts, on-mode count)."""
+    def actions(self, round_no: int, queues) -> tuple[Sequence, int]:
+        """Return ((station, bits), ...) transmit attempts and the on-mode count.
+
+        The attempts are a read-only sequence: a driver may hand out the same
+        prebuilt tuple in every round it sends from a station.
+        """
         raise NotImplementedError
 
     def finish_round(self, round_no: int, obs, success_sid, queues) -> None:
@@ -400,14 +419,25 @@ class FullSensingSystem(TokenSystem):
         return FullSensingStation(sid, config.n, config.protocol.variant_k or 0)
 
 
+def _one_sender_results(n: int) -> tuple:
+    """The result of a round in which station i alone sends, at index i - 1."""
+    return tuple((((sid, None),), 1) for sid in range(1, n + 1))
+
+
 class RoundRobinSystem(ProtocolSystem):
     """One scheduled station per round; it listens when it has nothing to send."""
 
+    LISTEN_ONLY = ((), 1)
+
+    def __init__(self, config: SimConfig):
+        super().__init__(config)
+        self.sends = _one_sender_results(config.n)
+
     def actions(self, round_no: int, queues):
-        sid = (round_no - 1) % self.n + 1
-        if queues[sid - 1] > 0:
-            return [(sid, None)], 1
-        return [], 1
+        i = (round_no - 1) % self.n     # station i + 1's turn
+        if queues[i] > 0:
+            return self.sends[i]
+        return self.LISTEN_ONLY
 
     def schedule_oracle(self):
         n = self.n
@@ -509,11 +539,17 @@ class StateAwareSystem(ProtocolSystem):
     Ties go to the lowest ID; a round with every queue empty is silent.
     """
 
+    SILENT = ((), 0)
+
+    def __init__(self, config: SimConfig):
+        super().__init__(config)
+        self.sends = _one_sender_results(config.n)
+
     def actions(self, round_no: int, queues):
         best = max(queues)
         if best == 0:
-            return [], 0
-        return [(queues.index(best) + 1, None)], 1
+            return self.SILENT
+        return self.sends[queues.index(best)]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,12 @@ FOLD_CASES = {
     "backoff_square": ("backoff(square)", {"rho": 0.5}),
     "state_aware": ("state_aware", {}),
     "interleaved": (f"interleaved({DATA / 'families_8.json'})", {}),
+    # Plan entries on both sides of the stops at 1, 7 and 500 and on the
+    # last round of either run length (2000 and 3000).
+    "plan": ("round_robin", {"distribution": {"plan": [
+        {"round": rnd, "station": sid, "count": 2}
+        for rnd, sid in ((1, 1), (7, 2), (8, 3), (500, 4), (501, 5), (2000, 6), (3000, 7))]}}),
+    "single_target": ("backoff(linear)", {"distribution": "single(3)"}),
 }
 
 

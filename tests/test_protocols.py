@@ -311,6 +311,26 @@ class TestBackoffStation:
         st.on_success()
         assert st.attempts == 0 and st.slot is None
 
+    @pytest.mark.parametrize("kind", ["exponential", "linear", "square"])
+    def test_draw_reads_the_window_law_once_per_draw(self, kind):
+        # draw_slot looks its window up in a table that ends at the cap; the
+        # window must be backoff_window(kind, i) for every failure count i,
+        # past the table's end too, drawn with exactly one randrange.
+        class RecordingRng:
+            def __init__(self):
+                self.windows = []
+
+            def randrange(self, window):
+                self.windows.append(window)
+                return window - 1
+
+        rng = RecordingRng()
+        st = BackoffStation(1, kind, rng)
+        for i in range(5001):
+            st.attempts = i
+            assert st.draw_slot(10) == 10 + backoff_window(kind, i) - 1
+        assert rng.windows == [backoff_window(kind, i) for i in range(5001)]
+
 
 def backoff_config(n=4, kind="exponential", plan=(), initial=None, rounds=100, **overrides):
     """A backoff run fed by a fixed plan of (round, station, count) injections."""
