@@ -150,6 +150,51 @@ class TestDilute:
         assert dilute(fam, 2).sets == ((1, 2), (4, 5), (6,))
 
 
+PRIME_POWERS = [q for q in range(2, 33)
+                if len({f for f in range(2, q + 1) if q % f == 0 and
+                        all(f % g for g in range(2, f))}) == 1]
+
+
+class TestGaloisField:
+    @pytest.fixture(scope="class", params=PRIME_POWERS)
+    def tables(self, request):
+        q = request.param
+        gf = sel.GaloisField(q)
+        add = [[gf.add(a, b) for b in range(q)] for a in range(q)]
+        mul = [[gf.mul(a, b) for b in range(q)] for a in range(q)]
+        return q, add, mul
+
+    def test_prime_powers_up_to_32(self):
+        assert PRIME_POWERS == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
+                                27, 29, 31, 32]
+        with pytest.raises(ValueError):
+            sel.GaloisField(12)
+
+    def test_results_stay_in_the_field(self, tables):
+        q, add, mul = tables
+        assert all(0 <= v < q for row in add + mul for v in row)
+
+    def test_zero_and_one_are_the_identities(self, tables):
+        q, add, mul = tables
+        for a in range(q):
+            assert add[0][a] == add[a][0] == a
+            assert mul[1][a] == mul[a][1] == a
+            assert mul[0][a] == mul[a][0] == 0
+
+    def test_every_nonzero_element_has_exactly_one_inverse(self, tables):
+        q, _, mul = tables
+        for a in range(1, q):
+            assert mul[a].count(1) == 1
+            assert mul[a].index(1) == [row[a] for row in mul].index(1)
+
+    def test_mul_distributes_over_add(self, tables):
+        q, add, mul = tables
+        for a in range(q):
+            for b in range(q):
+                for c in range(q):
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
 class TestSuperimposedCodes:
     def test_kautz_singleton_small_field(self):
         code = kautz_singleton(2, 20)
