@@ -85,23 +85,8 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def sweep_size(doc: dict) -> int:
-    seeds = doc.get("seeds", 1)
-    n_seeds = seeds if isinstance(seeds, int) else len(seeds)
-    return len(_as_list(doc.get("n", []))) * len(_as_list(doc.get("rho", []))) * n_seeds
-
-
-def expand_sweep(doc: dict):
-    """Yield validated per-cell configurations for a sweep document.
-
-    A sweep document is a run configuration whose `n` and `rho` may be lists
-    and whose `seed` is replaced by `seeds`: either an explicit list or an
-    integer count >= 1 meaning seeds 0..count-1. An empty `n`, `rho` or
-    `seeds` list is an error, not an empty sweep. Cells come in (n, rho, seed)
-    order. The whole grid is checked before the first cell is yielded: each
-    n is validated once (so a family file is read once per n), and every rho
-    and seed on its own, since the cells of one n differ only in those two.
-    """
+def _sweep_grid(doc: dict):
+    """Check a sweep document's grid axes; return its n values, rhos and seeds."""
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a JSON object")
     if "seed" in doc:
@@ -118,6 +103,27 @@ def expand_sweep(doc: dict):
     for name, values in (("n", n_values), ("rho", rhos), ("seeds", seeds)):
         if not values:
             raise ConfigError(f"sweep config has an empty '{name}' list", name)
+    return n_values, rhos, seeds
+
+
+def sweep_size(doc: dict) -> int:
+    """Number of cells in a sweep; a malformed grid raises as in expand_sweep."""
+    n_values, rhos, seeds = _sweep_grid(doc)
+    return len(n_values) * len(rhos) * len(seeds)
+
+
+def expand_sweep(doc: dict):
+    """Yield validated per-cell configurations for a sweep document.
+
+    A sweep document is a run configuration whose `n` and `rho` may be lists
+    and whose `seed` is replaced by `seeds`: either an explicit list or an
+    integer count >= 1 meaning seeds 0..count-1. An empty `n`, `rho` or
+    `seeds` list is an error, not an empty sweep. Cells come in (n, rho, seed)
+    order. The whole grid is checked before the first cell is yielded: each
+    n is validated once (so a family file is read once per n), and every rho
+    and seed on its own, since the cells of one n differ only in those two.
+    """
+    n_values, rhos, seeds = _sweep_grid(doc)
     base = {k: v for k, v in doc.items() if k not in _SWEEP_ONLY_KEYS}
     configs = [validate_config(dict(base, n=n, rho=rhos[0], seed=seeds[0])) for n in n_values]
     for config in configs:

@@ -10,7 +10,7 @@ from channel_lab import selectors
 from channel_lab.cli import (
     CSV_FIELDS, dispatch, emit_csv, expand_sweep, render_csv, stability_sweep, sweep_size,
 )
-from channel_lab.core import SimulationError, validate_config
+from channel_lab.core import ConfigError, SimulationError, validate_config
 from channel_lab.engine import Engine, run_simulation
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -231,6 +231,17 @@ class TestSweep:
         doc = self.sweep_doc(n=[4, 8])
         assert sweep_size(doc) == len(list(expand_sweep(doc))) == 12
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seeds": "abc"}, "seeds"), ({"n": []}, "n"), ({"seeds": 0}, "seeds"),
+        ({"seeds": None, "seed": 1}, "seed"),
+    ])
+    def test_sweep_size_rejects_what_expansion_rejects(self, overrides, field):
+        doc = {k: v for k, v in self.sweep_doc(**overrides).items() if v is not None}
+        for count in (sweep_size, lambda d: len(list(expand_sweep(d)))):
+            with pytest.raises(ConfigError) as info:
+                count(doc)
+            assert info.value.field == field
+
     def test_sweep_rejects_singular_seed_key(self, tmp_path):
         with pytest.raises(Exception):
             list(expand_sweep(self.sweep_doc(seed=1)))
@@ -340,6 +351,14 @@ class TestSelectorCommands:
         assert dispatch(["selector", "verify", "--family", str(out),
                          "--samples", "500"]) == 0
         assert "failure fraction 0" in capsys.readouterr().out
+
+    def test_gen_with_no_trials_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "family.json"
+        assert dispatch(["selector", "gen", "--n", "8", "--omega", "4", "--k", "4",
+                         "--out", str(out), "--trials", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+        assert not out.exists()
 
     def test_gen_output_loads_as_family(self, tmp_path):
         out = tmp_path / "family.json"

@@ -27,6 +27,11 @@ RANDOM_CASES = ((8, 4, 4), (12, 4, 2), (16, 2, 16), (16, 8, 4))
 PLANTED_X = {2, 5, 11, 14}
 
 
+def as_json(value):
+    """The value as it reads back from the lock file (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
 def code_doc(code):
     return {"q": code.q, "a": code.a, "b": code.b,
             "rows": [sorted(row) for row in code.rows]}
@@ -74,12 +79,11 @@ def entries():
     out["construct_selector_poly(auto)"] = lambda: family_doc(poly_family(None))
     out["construct_selector_poly(alpha=0)"] = lambda: family_doc(poly_family(0.0))
     out["verify_selector_exact(planted)"] = \
-        lambda: list(selectors.verify_selector_exact(failing_selector()))
+        lambda: as_json(selectors.verify_selector_exact(failing_selector()))
     out["verify_disjunct(kautz_singleton(1,16),2)"] = \
-        lambda: json.loads(json.dumps(
-            selectors.verify_disjunct(selectors.kautz_singleton(1, 16), 2)))
+        lambda: as_json(selectors.verify_disjunct(selectors.kautz_singleton(1, 16), 2))
     out["verify_disperser(random_disperser(16,3,3,1.5,0.3))"] = \
-        lambda: list(selectors.verify_disperser(selectors.random_disperser(
+        lambda: as_json(selectors.verify_disperser(selectors.random_disperser(
             16, 3, 3, 1.5, 0.3, derive_stream(0, "golden.disperser"))))
     return out
 
