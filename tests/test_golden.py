@@ -2,9 +2,11 @@
 
 tests/data/golden.csv holds one row per protocol string x n x seed at 10,000
 rounds and rho 0.9, followed by a block of runs with a checkpoint at round
-5,000 whose snapshot metrics are appended to the row. A change to the round
-loop must keep the file byte-identical; a change that is meant to alter
-simulation output re-blesses it and says why:
+5,000 whose snapshot metrics are appended to the row, and then a block of n=8
+runs that feed packets through the other injection paths (flat targets, a
+single target and a fixed plan), with the path in a leading column. A change
+to the round loop must keep the file byte-identical; a change that is meant
+to alter simulation output re-blesses it and says why:
 
     PYTHONPATH=src python tests/test_golden.py --bless
 """
@@ -33,6 +35,13 @@ RHO = 0.9
 CHECKPOINT = 5_000
 SNAPSHOT_FIELDS = ("rounds", "max_max", "avg_max", "max_avg", "avg_avg",
                    "avg_access", "collisions")
+
+# The other injection paths, each run at n=8 for every protocol string.
+PATH_N = 8
+PLAN = ([{"round": 100, "station": 3, "count": 60}]
+        + [{"round": r, "station": 7 * r % PATH_N + 1, "count": 1 + (r % 3 == 0)}
+           for r in range(1, ROUNDS, 2)])
+PATHS = (("flat", "flat"), ("single(2)", "single(2)"), ("plan", {"plan": PLAN}))
 
 FAMILY_SEED = 2018
 FAMILY_K = 4
@@ -63,8 +72,9 @@ def cells():
             yield f"interleaved({family_file(n)})", n, seed
 
 
-def config(protocol, n, seed):
-    return {"n": n, "protocol": protocol, "rho": RHO, "rounds": ROUNDS, "seed": seed}
+def config(protocol, n, seed, distribution="focused"):
+    return {"n": n, "protocol": protocol, "rho": RHO, "rounds": ROUNDS, "seed": seed,
+            "distribution": distribution}
 
 
 def golden_text() -> str:
@@ -81,6 +91,12 @@ def golden_text() -> str:
         row = render_csv([result]).splitlines()[1]
         lines.append(row + "," + ",".join(repr(getattr(snapshot, f))
                                           for f in SNAPSHOT_FIELDS))
+    lines.append(",".join(("distribution",) + CSV_FIELDS))
+    for label, distribution in PATHS:
+        for cell in cells():
+            if cell[1] == PATH_N:
+                row = render_csv([run_simulation(config(*cell, distribution))]).splitlines()[1]
+                lines.append(f"{label},{row}")
     return text + "\n".join(lines) + "\n"
 
 
