@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DistributionSpec
+from .core import DistributionSpec, randbelow
 
 
 class ScheduleUnavailable(RuntimeError):
@@ -148,16 +148,17 @@ def releases(state: AdversaryState, rng, start: int, stop: int):
 
     Each round draws two rng.random() (the stock grows with the first, a burst
     comes with the second), then one draw per released packet: rng.random()
-    for a focused target, rng.randrange(n) for a flat one, none for a single
-    target. The stream is bounded by `stop`: it never draws for a later round,
-    and it writes the stock back to `state` once it is exhausted. A plan
+    for a focused target, core.randbelow(rng.getrandbits, n) for a flat one
+    (the law of rng.randrange(n)), none for a single target. The stream is
+    bounded by `stop`: it never draws for a later round, and it writes the
+    stock back to `state` once it is exhausted. A plan
     yields its own rounds and draws nothing. The yielded dicts are read-only.
     """
     dist = state.distribution
     if isinstance(dist, Plan):
         yield from dist.releases(start, stop)
         return
-    random, randrange = rng.random, rng.randrange
+    random, getrandbits = rng.random, rng.getrandbits
     rho, burst_p, stock_b = state.rho, state.burst_p, state.stock_b
     kind = dist.kind
     if kind == "focused":
@@ -185,7 +186,7 @@ def releases(state: AdversaryState, rng, start: int, stop: int):
             elif kind == "flat":
                 out = {}
                 for _ in range(stock):
-                    sid = randrange(n) + 1
+                    sid = randbelow(getrandbits, n) + 1
                     out[sid] = out.get(sid, 0) + 1
             else:
                 out = {dist.target: stock}

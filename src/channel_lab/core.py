@@ -2,7 +2,8 @@
 
 Every stochastic component draws from its own labeled stream, so the adversary's
 randomness stays independent of any protocol's and identical configurations
-reproduce identical runs bit for bit.
+reproduce identical runs bit for bit. Integer draws go through `randbelow`,
+so the bytes depend only on the streams' MT19937 `getrandbits`.
 """
 
 from __future__ import annotations
@@ -136,6 +137,21 @@ class RandomStream(random.Random):
 def derive_stream(seed: int, label: str) -> RandomStream:
     """Derive the reproducible stream identified by (seed, label)."""
     return RandomStream(seed, label)
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n) for n >= 1, drawn from getrandbits.
+
+    This is the law of CPython's Random._randbelow_with_getrandbits, so it
+    returns what randrange(n) would and leaves the stream in the same state,
+    without randrange's argument checks. It draws n.bit_length() bits and
+    rejects values >= n; it still draws when n == 1.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ and the centralized state-aware comparator. PROTOCOLS, at the end, is the one
 table of protocol names that config validation and the engine read.
 
 Both token families share the TokenStation base (token list, initial roles,
-position). Token stations expose decide(round, queue_len) -> StationAction and
-observe(round, observation, own_ack); decide mutates only transmission-phase
-state, observe is the sole channel-feedback mutator. Backoff stations expose
+position). Each token station caches its own index in its list as `pos`, and
+`front` keeps it current whenever a station moves to the head, so reading a
+position or a list predecessor costs no search of the list. Token stations
+expose decide(round, queue_len) -> StationAction and observe(round,
+observation, own_ack); decide mutates only transmission-phase state, observe
+is the sole channel-feedback mutator. Backoff stations expose
 draw_slot, on_success and on_failure. A per-protocol system object drives the
 stations without polling them: TokenSystem keeps one list of the non-idle
 token stations and files idle ones in a wake calendar, and each backlogged
@@ -26,7 +29,7 @@ from . import selectors
 from .core import (
     LISTEN, OFF, TRANSMIT, TRANSMIT_BIG, TRANSMIT_LAST_BIG, ChannelObservation, ConfigError,
     MissingParameter, ProtocolInvariantBroken, ProtocolSpec, RangeError, SimConfig,
-    StationAction, derive_stream,
+    StationAction, derive_stream, randbelow,
 )
 from .selectors import SelectorFamily
 
@@ -40,12 +43,6 @@ BACKOFF_KINDS = ("exponential", "linear", "square")
 BACKOFF_WINDOW_CAP = 2048
 
 
-def _move_to_front(order: list[int], sid: int) -> None:
-    if order[0] != sid:
-        order.remove(sid)
-        order.insert(0, sid)
-
-
 # ---------------------------------------------------------------------------
 # Token-cycle stations (adaptive and full-sensing)
 # ---------------------------------------------------------------------------
@@ -56,15 +53,17 @@ class TokenStation:
     Every station keeps its own copy of the shared token list. Station 1
     starts with the token, station 2 listens, and every other station sleeps
     until its first listening slot. The driver wakes a sleeping station by
-    setting it LISTENING in its wake round.
+    setting it LISTENING in its wake round. `pos` is this station's index in
+    `order`; every change to `order` goes through `front`, which keeps it.
     """
 
-    __slots__ = ("sid", "n", "state", "order", "wake_round")
+    __slots__ = ("sid", "n", "state", "order", "pos", "wake_round")
 
     def __init__(self, sid: int, n: int):
         self.sid = sid
         self.n = n
         self.order = list(range(1, n + 1))
+        self.pos = sid - 1
         if sid == 1:
             self.state = TRANSMITTING
             self.wake_round = 0
@@ -75,8 +74,22 @@ class TokenStation:
             self.state = IDLE
             self.wake_round = sid - 1  # its first listening slot
 
-    def position(self) -> int:
-        return self.order.index(self.sid)
+    def front(self, x: int) -> None:
+        """Move station x to the head of the list; this station's index follows.
+
+        pos becomes 0 when x is this station, goes up by one when x stood
+        behind it, and stays put when x stood ahead of it.
+        """
+        order = self.order
+        i = order.index(x)
+        if i:
+            del order[i]
+            order.insert(0, x)
+            pos = self.pos
+            if i == pos:
+                self.pos = 0
+            elif i > pos:
+                self.pos = pos + 1
 
 
 class AdaptiveStation(TokenStation):
@@ -116,7 +129,7 @@ class AdaptiveStation(TokenStation):
             if round_no % n == 0:
                 # Handoff cycle complete: take the head of the list and keep
                 # the token as a plain transmitter from the next round on.
-                _move_to_front(self.order, self.sid)
+                self.front(self.sid)
                 self.state = TRANSMITTING
             return TRANSMIT_LAST_BIG
         if state is LISTENING:
@@ -132,10 +145,10 @@ class AdaptiveStation(TokenStation):
         if obs.kind == "single" and bits is not None and (bits.big or bits.last_big):
             # Sleep until the same listening slot next cycle, one round later
             # when the front-move pushed this station's position up by one.
-            before = self.position()
+            before = self.pos
             if bits.last_big:
-                _move_to_front(self.order, obs.sender)
-            shifted = 1 if self.position() > before else 0
+                self.front(obs.sender)
+            shifted = 1 if self.pos > before else 0
             self.state = IDLE
             self.wake_round = round_no + self.n + shifted
         else:
@@ -163,7 +176,7 @@ class FullSensingStation(TokenStation):
         self.token_from_exit = False
 
     def predecessor(self) -> int:
-        return self.order[self.position() - 1]
+        return self.order[self.pos - 1]
 
     def _big_threshold(self) -> int:
         if self.variant_k >= 1:
@@ -180,8 +193,8 @@ class FullSensingStation(TokenStation):
         """
         n = self.n
         cycle_close = round_no + (-round_no) % n
-        position = self.position()
-        return cycle_close + (position if position >= 1 else n)
+        pos = self.pos
+        return cycle_close + (pos if pos >= 1 else n)
 
     def decide(self, round_no: int, queue_len: int) -> StationAction:
         state = self.state
@@ -210,7 +223,7 @@ class FullSensingStation(TokenStation):
             if obs.kind == "single" and obs.sender != self.predecessor():
                 # Out-of-order transmitter: it must be big; learn it and
                 # sleep until this station's listening slot next cycle.
-                _move_to_front(self.order, obs.sender)
+                self.front(obs.sender)
                 self.state = IDLE
                 self.wake_round = self._slot_next_cycle(round_no)
             else:  # predecessor transmitted, or silence: take the token
@@ -223,7 +236,7 @@ class FullSensingStation(TokenStation):
                 # this station the token; a station that took the token via
                 # its own big-state exit learned nothing from the collision.
                 if not self.token_from_exit:
-                    _move_to_front(self.order, self.predecessor())
+                    self.front(self.predecessor())
                 extra = (self.variant_k - 1) * n if self.variant_k >= 1 else 0
                 self.state = IDLE
                 self.wake_round = self._slot_next_cycle(round_no) + extra
@@ -236,7 +249,7 @@ class FullSensingStation(TokenStation):
                         self.wake_round = round_no + n - 1
                 else:
                     # A big predecessor transmitted through this empty slot.
-                    _move_to_front(self.order, obs.sender)
+                    self.front(obs.sender)
                     self.state = IDLE
                     self.wake_round = round_no + n - 1
             else:  # silence: queue was empty and no big station exists
@@ -249,7 +262,7 @@ class FullSensingStation(TokenStation):
         if state is BIG:
             remaining = self.queue_seen - (1 if own_ack else 0)
             if round_no % n == 0 and remaining <= 2 * n:
-                _move_to_front(self.order, self.sid)
+                self.front(self.sid)
                 self.state = TRANSMITTING
                 self.token_from_exit = True
             self.transmitted = False
@@ -305,7 +318,7 @@ class BackoffStation:
         """Pick this station's slot in the window that opens at round_no."""
         windows, i = self.windows, self.attempts
         window = windows[i] if i < len(windows) else BACKOFF_WINDOW_CAP
-        self.slot = slot = round_no + self.rng.randrange(window)
+        self.slot = slot = round_no + randbelow(self.rng.getrandbits, window)
         return slot
 
     def on_success(self) -> None:

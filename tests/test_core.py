@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import channel_lab
 from channel_lab.core import (
     AdaptiveBits, ConfigError, MissingParameter, RangeError, SimConfig,
-    derive_stream, validate_config,
+    derive_stream, randbelow, validate_config,
 )
 from channel_lab.cli import CSV_FIELDS, render_csv
 from channel_lab.engine import Engine, run_simulation
@@ -236,3 +237,17 @@ class TestDeriveStream:
         s = derive_stream(11, "metrics")
         assert s.seed_value == 11
         assert s.label == "metrics"
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 2048])
+    @pytest.mark.parametrize("make", [lambda: random.Random(5),
+                                      lambda: derive_stream(5, "adversary")])
+    def test_matches_randrange_on_a_twin_stream(self, make, n):
+        # Same values and the same final state as randrange(n), so runs keep
+        # their bytes; n = 1 still consumes a draw.
+        ours, twin = make(), make()
+        drawn = [randbelow(ours.getrandbits, n) for _ in range(500)]
+        assert drawn == [twin.randrange(n) for _ in range(500)]
+        assert ours.getstate() == twin.getstate()
+        assert ours.getstate() != make().getstate()

@@ -10,28 +10,47 @@ from channel_lab.protocols import (
     AdaptiveStation, BackoffStation, BackoffSystem, FullSensingStation, InterleavedSystem,
     RoundRobinSystem, StateAwareSystem, backoff_window,
 )
-from channel_lab import selectors
+from channel_lab import protocols, selectors
 from channel_lab.selectors import SelectorFamily
 
 N = 8
 
 
-def adaptive_in(state, n=N, order=None, wake=0):
-    st = AdaptiveStation(1, n)
-    st.state = state
+def with_order(st, order):
+    """Give station `st` the list `order` and the position cache that goes with it."""
     if order:
         st.order = list(order)
+        st.pos = st.order.index(st.sid)
+    return st
+
+
+def adaptive_in(state, n=N, order=None, wake=0):
+    st = with_order(AdaptiveStation(1, n), order)
+    st.state = state
     st.wake_round = wake
     return st
 
 
 def fullsensing_in(state, n=N, sid=1, variant_k=0, order=None):
-    st = FullSensingStation(sid, n, variant_k)
+    st = with_order(FullSensingStation(sid, n, variant_k), order)
     st.state = state
-    if order:
-        st.order = list(order)
     return st
 
+
+class TestTokenStationFront:
+    @pytest.mark.parametrize("moved, order, pos", [
+        (1, [1, 4, 2, 3, 5, 6, 7, 8], 3),   # moved station stood ahead: pos stays
+        (3, [3, 4, 1, 2, 5, 6, 7, 8], 0),   # the station itself: pos becomes 0
+        (7, [7, 4, 1, 2, 3, 5, 6, 8], 4),   # moved station stood behind: pos + 1
+        (4, [4, 1, 2, 3, 5, 6, 7, 8], 3),   # already at the head: nothing moves
+    ])
+    def test_front_moves_one_station_and_keeps_pos(self, moved, order, pos):
+        st = with_order(FullSensingStation(3, N), [4, 1, 2, 3, 5, 6, 7, 8])
+        assert st.pos == 3
+        st.front(moved)
+        assert st.order == order
+        assert st.pos == pos == st.order.index(st.sid)
+        assert st.predecessor() == st.order[pos - 1]
 
 class TestAdaptiveStation:
     def test_initial_roles(self):
@@ -312,24 +331,25 @@ class TestBackoffStation:
         assert st.attempts == 0 and st.slot is None
 
     @pytest.mark.parametrize("kind", ["exponential", "linear", "square"])
-    def test_draw_reads_the_window_law_once_per_draw(self, kind):
+    def test_draw_reads_the_window_law_once_per_draw(self, kind, monkeypatch):
         # draw_slot looks its window up in a table that ends at the cap; the
         # window must be backoff_window(kind, i) for every failure count i,
-        # past the table's end too, drawn with exactly one randrange.
-        class RecordingRng:
-            def __init__(self):
-                self.windows = []
+        # past the table's end too, drawn with exactly one randbelow from the
+        # station's own stream.
+        rng = derive_stream(0, "backoff.1")
+        windows = []
 
-            def randrange(self, window):
-                self.windows.append(window)
-                return window - 1
+        def recording_randbelow(getrandbits, window):
+            assert getrandbits == rng.getrandbits
+            windows.append(window)
+            return window - 1
 
-        rng = RecordingRng()
+        monkeypatch.setattr(protocols, "randbelow", recording_randbelow)
         st = BackoffStation(1, kind, rng)
         for i in range(5001):
             st.attempts = i
             assert st.draw_slot(10) == 10 + backoff_window(kind, i) - 1
-        assert rng.windows == [backoff_window(kind, i) for i in range(5001)]
+        assert windows == [backoff_window(kind, i) for i in range(5001)]
 
 
 def backoff_config(n=4, kind="exponential", plan=(), initial=None, rounds=100, **overrides):

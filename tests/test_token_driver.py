@@ -6,7 +6,8 @@ calendar, collects the ones that switched on into an observer list, sorts it
 by ID and, in finish_round, skips the observers that went idle during their
 own decide. The active-list driver must reproduce it exactly: after every
 round the same report, the same set of transmit attempts and the same
-(state, wake_round, order) at every station.
+(state, wake_round, order) at every station. After every round each
+station's cached position `pos` must also be its index in its own list.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -123,6 +124,8 @@ def compare(config):
             return ref
         assert new_listed[-1] == ref_listed[-1], f"round {r}"
         assert station_states(new) == station_states(ref), f"round {r}"
+        for s in new.system.stations:
+            assert s.pos == s.order.index(s.sid), f"round {r}, station {s.sid}"
     assert new.queues == ref.queues
     return ref
 
