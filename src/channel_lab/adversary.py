@@ -104,12 +104,6 @@ class Plan:
             rnd = rounds[i]
             yield rnd, by_round[rnd]
 
-    def total(self) -> int:
-        return sum(cnt for _, _, cnt in self.entries)
-
-    def to_json(self) -> list[dict]:
-        return [{"round": r, "station": s, "count": c} for r, s, c in self.entries]
-
 
 def make_distribution(spec: DistributionSpec, n: int):
     if spec.kind == "focused":

@@ -115,28 +115,14 @@ def single(sender: int, bits: AdaptiveBits | None = None) -> ChannelObservation:
 # Random streams
 # ---------------------------------------------------------------------------
 
-class RandomStream(random.Random):
-    """Mersenne-Twister stream seeded from SHA-256 of (seed, label).
+def derive_stream(seed: int, label: str) -> random.Random:
+    """The Mersenne-Twister stream seeded from SHA-256 of (seed, label).
 
     Same (seed, label) always yields the same sequence; distinct labels give
     independent streams even under the same seed.
     """
-
-    def __new__(cls, seed: int = 0, label: str = ""):
-        # random.Random forwards constructor args to the C-level __new__,
-        # which only accepts a seed; bypass it and seed in __init__.
-        return super().__new__(cls)
-
-    def __init__(self, seed: int, label: str):
-        material = hashlib.sha256(f"{seed & _MASK64:016x}|{label}".encode()).digest()
-        super().__init__(int.from_bytes(material, "big"))
-        self.seed_value = seed
-        self.label = label
-
-
-def derive_stream(seed: int, label: str) -> RandomStream:
-    """Derive the reproducible stream identified by (seed, label)."""
-    return RandomStream(seed, label)
+    material = hashlib.sha256(f"{seed & _MASK64:016x}|{label}".encode()).digest()
+    return random.Random(int.from_bytes(material, "big"))
 
 
 def randbelow(getrandbits, n: int) -> int:

@@ -418,9 +418,6 @@ class TokenSystem(ProtocolSystem):
         if dropped:
             self.active = [st for st in self.active if st.state is not IDLE]
 
-    def local_lists(self) -> list[tuple[int, ...]]:
-        return [tuple(st.order) for st in self.stations]
-
 
 class AdaptiveSystem(TokenSystem):
     def make_station(self, sid: int, config: SimConfig) -> AdaptiveStation:

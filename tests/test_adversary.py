@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from channel_lab.adversary import (
     AdversaryState, Flat, Focused, Plan, ScheduleUnavailable, adversary_step,
-    make_distribution, min_schedule_attack, validate_leaky_bucket,
+    make_distribution, min_schedule_attack, releases, validate_leaky_bucket,
 )
 from channel_lab.core import DistributionSpec, derive_stream
 
@@ -67,6 +67,17 @@ class TestAdversaryStep:
         assert seen[3] == {2: 4, 1: 1}
         assert seen[7] == {2: 2}
         assert all(v == {} for rnd, v in seen.items() if rnd not in (3, 7))
+
+
+def test_plan_stream_yields_only_its_rounds_in_the_stretch():
+    plan = Plan([(3, 2, 4), (3, 1, 1), (7, 2, 2), (9, 1, 0)])
+    state = fresh_state(0.5, 0.5, 256, dist=plan)
+    rng = derive_stream(6, "adversary")
+    before = rng.getstate()
+    assert list(releases(state, rng, 0, 10)) == [(3, {2: 4, 1: 1}), (7, {2: 2})]
+    assert list(releases(state, rng, 3, 6)) == []
+    assert list(releases(state, rng, 2, 3)) == [(3, {2: 4, 1: 1})]
+    assert rng.getstate() == before
 
 
 class TestFocusedDistribution:
@@ -134,6 +145,19 @@ class TestLeakyBucket:
         assert validate_leaky_bucket([5], 0.5, 5) is None
         assert validate_leaky_bucket([7], 0.5, 5) == (1, 1)
 
+    def test_window_exactly_at_the_bound_complies(self):
+        # [1, 2] holds 0.5 * 2 + 1 = 2 packets exactly; one more packet in
+        # round 2 makes it the first violating window.
+        assert validate_leaky_bucket([1, 1], 0.5, 1) is None
+        assert validate_leaky_bucket([1, 2], 0.5, 1) == (1, 2)
+
+    def test_window_at_the_bound_with_an_inexact_rate(self):
+        # The float 0.1 is a little above 1/10, so [1, 10] may hold
+        # 0.1 * 10 + 2 = 3 packets and not one more.
+        trace = [1] + [0] * 8 + [2]
+        assert validate_leaky_bucket(trace, 0.1, 2) is None
+        assert validate_leaky_bucket(trace[:-1] + [3], 0.1, 2) == (1, 10)
+
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=40),
            st.floats(min_value=0.05, max_value=1.0),
            st.integers(min_value=0, max_value=6))
@@ -159,7 +183,7 @@ class TestMinScheduleAttack:
         n, tau, k = 4, 8, 1
         schedule = lambda r: ((r - 1) % n + 1,)
         plan = min_schedule_attack(schedule, tau, n, k)
-        assert plan.total() == tau * k // n + 1 == 3
+        assert sum(cnt for _, _, cnt in plan.entries) == tau * k // n + 1 == 3
         assert {sid for _, sid, _ in plan.entries} == {1}
         assert all(1 <= rnd <= tau for rnd, _, _ in plan.entries)
 
@@ -171,7 +195,3 @@ class TestMinScheduleAttack:
     def test_unavailable_schedule_raises(self):
         with pytest.raises(ScheduleUnavailable):
             min_schedule_attack(None, 8, 4, 1)
-
-    def test_plan_round_trips_to_json(self):
-        plan = Plan([(1, 2, 3)])
-        assert plan.to_json() == [{"round": 1, "station": 2, "count": 3}]

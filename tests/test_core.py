@@ -233,11 +233,6 @@ class TestDeriveStream:
         b = derive_stream(8, "adversary")
         assert [a.random() for _ in range(100)] != [b.random() for _ in range(100)]
 
-    def test_stream_records_identity(self):
-        s = derive_stream(11, "metrics")
-        assert s.seed_value == 11
-        assert s.label == "metrics"
-
 
 class TestRandbelow:
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 2048])
