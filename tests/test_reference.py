@@ -28,6 +28,7 @@ PROTOCOLS = (
     "backoff(exponential)", "backoff(linear)", "backoff(square)", "state_aware",
 )
 TOKEN = ("adaptive", "fullsensing", "fullsensing_mod")
+BACKOFF = ("backoff(exponential)", "backoff(linear)", "backoff(square)")
 
 
 def recording(driver, sort):
@@ -94,15 +95,15 @@ def compare(doc, stops):
 
 
 @st.composite
-def runs(draw):
-    """A run of up to 1,500 rounds of any protocol string, cut at random stops.
+def runs(draw, kinds=PROTOCOLS, restrain=True):
+    """A run of up to 1,500 rounds of a protocol from `kinds`, cut at random stops.
 
     Initial queues of up to 5n let token stations go big. A plan puts up to 40
     entries, some with count 0, in the run, and some of its stops fall just
-    before or on an entry's round. One run in eight has a restrain limit of 1
-    to 3, so some runs fail.
+    before or on an entry's round. With `restrain`, three runs in ten have a
+    restrain limit of 1 to 3, so some runs fail.
     """
-    kind = draw(st.sampled_from(PROTOCOLS))
+    kind = draw(st.sampled_from(kinds))
     if kind == "interleaved":
         n = draw(st.sampled_from((4, 8, 16)))
         protocol = f"interleaved({DATA / f'families_{n}.json'})"
@@ -134,7 +135,7 @@ def runs(draw):
         "distribution": distribution,
         "initial_queues": draw(st.lists(st.integers(0, 5 * n), min_size=n, max_size=n)),
     }
-    limit = draw(st.sampled_from((None,) * 7 + (1, 2, 3)))
+    limit = draw(st.sampled_from((None,) * 7 + (1, 2, 3))) if restrain else None
     if limit is not None:
         doc["restrain_limit"] = limit
     stops = sorted(draw(st.lists(stop_values, max_size=6))) + [rounds]
