@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 # The loop reads the release stream. adversary_step stays importable from here
 # because perfbench/tracer.py wraps engine.adversary_step by name.
-from .adversary import AdversaryState, adversary_step, make_distribution, releases  # noqa: F401
+from .adversary import AdversaryState, adversary_step, releases  # noqa: F401
 from .core import (
     COLLISION, SILENCE, ChannelObservation, ProtocolInvariantBroken,
     RestrainViolation, SimConfig, SimulationError, derive_stream, single,
@@ -73,7 +73,7 @@ class Engine:
         self.system = PROTOCOLS[config.protocol.name].system(config)
         self.adversary = AdversaryState(
             rho=config.rho, burst_p=config.burst_p, stock_b=config.stock_b,
-            distribution=make_distribution(config.distribution, config.n),
+            n=config.n, distribution=config.distribution,
         )
         self.rng_adversary = derive_stream(config.seed, "adversary")
         # Observations are immutable, so a plain delivery by station i is

@@ -557,6 +557,9 @@ def load_family_file(path) -> tuple[SelectorFamily, ...]:
         doc = json.load(fh)
     if isinstance(doc, dict):
         doc = [doc]
+    elif not isinstance(doc, list):
+        raise ValueError(f"{path}: a family file holds a JSON object or a list of them,"
+                         f" not {json.dumps(doc)[:40]}")
     return tuple(family_from_json(item) for item in doc)
 
 

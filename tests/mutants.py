@@ -130,9 +130,13 @@ MUTANTS = [
      "    for r in range(start + 1, stop + 2):",
      "stream: draws one round past stop"),
     (ADVERSARY,
-     "bisect_right(rounds, stop)",
-     "bisect_right(rounds, stop + 1)",
+     "bisect_right(plan, stop, key=_ROUND)",
+     "bisect_right(plan, stop + 1, key=_ROUND)",
      "stream: plan stretch one round too long"),
+    (ADVERSARY,
+     "t1 = (n + 1) / (3 * n)",
+     "t1 = n / (3 * n)",
+     "stream: focused station 1 loses its 1/(3n) share to station 2"),
     (ADVERSARY,
      "sid = 3 + int((u - t2) / tail)",
      "sid = 3 + int((u - t1) / tail)",

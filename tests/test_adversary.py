@@ -1,19 +1,25 @@
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from channel_lab.adversary import (
-    AdversaryState, Flat, Focused, Plan, ScheduleUnavailable, adversary_step,
-    make_distribution, min_schedule_attack, releases, validate_leaky_bucket,
+    AdversaryState, ScheduleUnavailable, adversary_step, min_schedule_attack, releases,
+    validate_leaky_bucket,
 )
-from channel_lab.core import DistributionSpec, derive_stream
+from channel_lab.core import DistributionSpec, derive_stream, validate_config
+from channel_lab.engine import Engine, run_simulation
+
+DATA = Path(__file__).resolve().parent / "data"
+FLAT = DistributionSpec("flat")
+PLAN = DistributionSpec("plan", plan=((3, 1, 1), (3, 2, 4), (7, 2, 2), (9, 1, 0)))
 
 
-def fresh_state(rho, p, b, dist=None):
-    return AdversaryState(rho=rho, burst_p=p, stock_b=b,
-                          distribution=dist or Flat(4))
+def fresh_state(rho, p, b, dist=FLAT, n=4):
+    return AdversaryState(rho=rho, burst_p=p, stock_b=b, n=n, distribution=dist)
 
 
 class TestAdversaryStep:
@@ -60,8 +66,7 @@ class TestAdversaryStep:
         assert total <= rounds + 64
 
     def test_plan_injects_exactly_as_scheduled(self):
-        plan = Plan([(3, 2, 4), (3, 1, 1), (7, 2, 2)])
-        state = fresh_state(0.5, 0.5, 256, dist=plan)
+        state = fresh_state(0.5, 0.5, 256, dist=PLAN)
         rng = derive_stream(6, "adversary")
         seen = {rnd: adversary_step(state, rnd, rng) for rnd in range(1, 10)}
         assert seen[3] == {2: 4, 1: 1}
@@ -70,8 +75,7 @@ class TestAdversaryStep:
 
 
 def test_plan_stream_yields_only_its_rounds_in_the_stretch():
-    plan = Plan([(3, 2, 4), (3, 1, 1), (7, 2, 2), (9, 1, 0)])
-    state = fresh_state(0.5, 0.5, 256, dist=plan)
+    state = fresh_state(0.5, 0.5, 256, dist=PLAN)
     rng = derive_stream(6, "adversary")
     before = rng.getstate()
     assert list(releases(state, rng, 0, 10)) == [(3, {2: 4, 1: 1}), (7, {2: 2})]
@@ -80,40 +84,51 @@ def test_plan_stream_yields_only_its_rounds_in_the_stretch():
     assert rng.getstate() == before
 
 
-class TestFocusedDistribution:
-    def test_probabilities_n4(self):
-        dist = Focused(4)
-        assert dist.probability(1) == Fraction(1, 3) + Fraction(1, 12) == Fraction(5, 12)
-        assert dist.probability(2) == Fraction(5, 12)
-        assert dist.probability(3) == Fraction(1, 12)
-        assert dist.probability(4) == Fraction(1, 12)
+def focused_targets(n, packets, seed):
+    """Per-station counts of `packets` focused packets drawn through `releases`.
 
-    def test_probabilities_sum_to_one(self):
-        for n in (2, 3, 4, 7, 32):
-            dist = Focused(n)
-            assert sum(dist.probability(i) for i in range(1, n + 1)) == 1
+    rho = 1 and burst_p = 0 make the stock grow by one each round and flush
+    at stock_b = 50, so `packets`, a multiple of 50, are drawn in full releases.
+    """
+    state = fresh_state(1.0, 0.0, 50, dist=DistributionSpec("focused"), n=n)
+    counts = {}
+    for _, out in releases(state, derive_stream(seed, "adversary"), 0, packets):
+        for sid, cnt in out.items():
+            counts[sid] = counts.get(sid, 0) + cnt
+    assert sum(counts.values()) == packets
+    return counts
+
+
+def within_three_sigma(hits, draws, p):
+    sigma = (draws * p * (1 - p)) ** 0.5
+    return abs(hits - draws * p) < 3 * sigma
+
+
+class TestFocusedDistribution:
+    """The focused law as the release stream draws it.
+
+    P(1) = P(2) = 1/3 + 1/(3n) and P(i) = 1/(3n) for i > 2. The stream's
+    thresholds are checked bit for bit against tests/reference.py by
+    test_reference.py and test_release_stream.py; these tests check the law.
+    """
+
+    def test_probabilities_n4(self):
+        # Each station's share of 10^5 packets lies in a 3 sigma band around
+        # 5/12, 5/12, 1/12, 1/12.
+        draws = 100_000
+        counts = focused_targets(4, draws, seed=8)
+        for sid, p in zip((1, 2, 3, 4), (Fraction(5, 12),) * 2 + (Fraction(1, 12),) * 2):
+            assert within_three_sigma(counts.get(sid, 0), draws, float(p)), sid
 
     def test_empirical_frequency_station_one(self):
-        # 3 sigma band around P(1) at 10^5 draws.
-        n = 8
-        dist = Focused(n)
-        rng = derive_stream(9, "focused")
-        draws = 100_000
-        hits = sum(1 for _ in range(draws) if dist.sample(rng) == 1)
-        p1 = float(dist.probability(1))
-        sigma = (draws * p1 * (1 - p1)) ** 0.5
-        assert abs(hits - draws * p1) < 3 * sigma
+        # 3 sigma band around P(1) = 3/8 at 10^5 packets.
+        n, draws = 8, 100_000
+        counts = focused_targets(n, draws, seed=9)
+        assert within_three_sigma(counts[1], draws, float(Fraction(n + 1, 3 * n)))
 
     def test_samples_stay_in_range(self):
-        dist = Focused(5)
-        rng = derive_stream(10, "focused")
-        assert all(1 <= dist.sample(rng) <= 5 for _ in range(10_000))
-
-    def test_make_distribution_dispatch(self):
-        assert isinstance(make_distribution(DistributionSpec("focused"), 4), Focused)
-        assert isinstance(make_distribution(DistributionSpec("flat"), 4), Flat)
-        plan = make_distribution(DistributionSpec("plan", plan=((1, 1, 1),)), 4)
-        assert isinstance(plan, Plan)
+        counts = focused_targets(5, 10_000, seed=10)
+        assert set(counts) == {1, 2, 3, 4, 5}
 
 
 def brute_force_leaky_bucket(trace, rho, b):
@@ -182,16 +197,36 @@ class TestMinScheduleAttack:
     def test_round_robin_ties_break_to_lowest_id(self):
         n, tau, k = 4, 8, 1
         schedule = lambda r: ((r - 1) % n + 1,)
-        plan = min_schedule_attack(schedule, tau, n, k)
-        assert sum(cnt for _, _, cnt in plan.entries) == tau * k // n + 1 == 3
-        assert {sid for _, sid, _ in plan.entries} == {1}
-        assert all(1 <= rnd <= tau for rnd, _, _ in plan.entries)
+        spec = min_schedule_attack(schedule, tau, n, k)
+        assert spec.kind == "plan" and list(spec.plan) == sorted(spec.plan)
+        assert sum(cnt for _, _, cnt in spec.plan) == tau * k // n + 1 == 3
+        assert {sid for _, sid, _ in spec.plan} == {1}
+        assert all(1 <= rnd <= tau for rnd, _, _ in spec.plan)
 
     def test_targets_station_with_zero_slots(self):
         schedule = lambda r: tuple(s for s in ((r - 1) % 4 + 1,) if s != 3)
-        plan = min_schedule_attack(schedule, 8, 4, 1)
-        assert {sid for _, sid, _ in plan.entries} == {3}
+        spec = min_schedule_attack(schedule, 8, 4, 1)
+        assert {sid for _, sid, _ in spec.plan} == {3}
 
     def test_unavailable_schedule_raises(self):
         with pytest.raises(ScheduleUnavailable):
             min_schedule_attack(None, 8, 4, 1)
+
+    @pytest.mark.parametrize("protocol, n, tau, k", [
+        ("round_robin", 4, 8, 1),
+        (f"interleaved({DATA / 'families_8.json'})", 8, 48, 4),
+    ])
+    def test_attack_plan_runs_and_overloads_its_target(self, protocol, n, tau, k):
+        # Each scheduled slot delivers at most one of the target's packets, so
+        # whatever the target holds beyond its slots is still queued at tau.
+        config = validate_config({"n": n, "protocol": protocol, "rho": 0.5,
+                                  "rounds": tau, "seed": 1})
+        schedule = Engine(config).system.schedule_oracle()
+        spec = min_schedule_attack(schedule, tau, n, k)
+        result = run_simulation(dataclasses.replace(config, distribution=spec))
+        (target,) = {sid for _, sid, _ in spec.plan}
+        planned = sum(cnt for _, _, cnt in spec.plan)
+        slots = sum(target in schedule(r) for r in range(1, tau + 1))
+        assert planned > slots
+        assert result.injected == planned
+        assert result.final_queues[target - 1] >= planned - slots

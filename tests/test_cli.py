@@ -370,6 +370,24 @@ class TestSelectorCommands:
         assert err.startswith("error: ") and "trials" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", ["5", "null", "true", '"sets"'])
+    def test_verify_rejects_a_family_file_that_is_not_an_object_or_list(
+            self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document + "\n")
+        assert dispatch(["selector", "verify", "--family", str(path), "--exact"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "family file" in err
+
+    def test_run_rejects_an_interleaved_family_file_holding_null(self, tmp_path, capsys):
+        family = tmp_path / "null.json"
+        family.write_text("null\n")
+        path = write_config(tmp_path, protocol=f"interleaved({family})")
+        assert dispatch(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "family file" in captured.err
+
     def test_gen_output_loads_as_family(self, tmp_path):
         out = tmp_path / "family.json"
         dispatch(["selector", "gen", "--n", "8", "--omega", "2", "--k", "2",

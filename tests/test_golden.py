@@ -9,10 +9,17 @@ to the round loop must keep the file byte-identical; a change that is meant
 to alter simulation output re-blesses it and says why:
 
     PYTHONPATH=src python tests/test_golden.py --bless
+
+`--check` renders the file and compares it without pytest, which this module
+does not import, so any interpreter can run it. It prints the first differing
+line and exits 1 on a mismatch:
+
+    PYTHONPATH=src python3.13 tests/test_golden.py --check
 """
 
 import os
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from channel_lab import selectors
@@ -105,9 +112,25 @@ def test_golden_csv_is_byte_identical(monkeypatch):
     assert golden_text() == GOLDEN.read_text(encoding="utf-8")
 
 
+def check() -> int:
+    """Compare a fresh rendering with the golden file; 0 when byte-identical."""
+    got = golden_text().splitlines(keepends=True)
+    want = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    for number, (line, golden) in enumerate(zip_longest(got, want), start=1):
+        if line != golden:
+            print(f"{GOLDEN.name} line {number} differs:\n  rendered {line!r}\n"
+                  f"  golden   {golden!r}")
+            return 1
+    print(f"{GOLDEN.name}: {len(want)} lines match under Python {sys.version.split()[0]}")
+    return 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--bless"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --bless")
+    if sys.argv[1:] not in (["--bless"], ["--check"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --bless | --check")
+    if sys.argv[1] == "--check":
+        os.chdir(DATA)
+        sys.exit(check())
     DATA.mkdir(exist_ok=True)
     if not all((DATA / family_file(n)).exists() for n in INTERLEAVED_SIZES):
         make_family_files()

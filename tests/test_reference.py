@@ -95,12 +95,35 @@ def compare(doc, stops):
 
 
 @st.composite
+def distributions(draw, n, rounds, max_entries):
+    """An injection target for a run of `rounds` rounds, and a strategy for its stops.
+
+    The target is focused, flat, single(i) or a plan of up to `max_entries`
+    entries, some with count 0. For a plan, some stops fall just before or on
+    an entry's round.
+    """
+    stop_values = st.integers(0, rounds)
+    target = draw(st.sampled_from(["focused", "flat", "single", "plan"]))
+    if target == "single":
+        return f"single({draw(st.integers(1, n))})", stop_values
+    if target != "plan":
+        return target, stop_values
+    entries = draw(st.lists(
+        st.tuples(st.integers(1, rounds), st.integers(1, n), st.integers(0, 3)),
+        max_size=max_entries))
+    if entries:
+        near = sorted({rnd - d for rnd, _, _ in entries for d in (0, 1)})
+        stop_values = st.one_of(stop_values, st.sampled_from(near))
+    return {"plan": [{"round": rnd, "station": sid, "count": cnt}
+                     for rnd, sid, cnt in entries]}, stop_values
+
+
+@st.composite
 def runs(draw, kinds=PROTOCOLS, restrain=True):
     """A run of up to 1,500 rounds of a protocol from `kinds`, cut at random stops.
 
-    Initial queues of up to 5n let token stations go big. A plan puts up to 40
-    entries, some with count 0, in the run, and some of its stops fall just
-    before or on an entry's round. With `restrain`, three runs in ten have a
+    Initial queues of up to 5n let token stations go big. A plan holds up to
+    40 entries (see `distributions`). With `restrain`, three runs in ten have a
     restrain limit of 1 to 3, so some runs fail.
     """
     kind = draw(st.sampled_from(kinds))
@@ -113,21 +136,7 @@ def runs(draw, kinds=PROTOCOLS, restrain=True):
         if kind == "fullsensing_mod":
             protocol = f"fullsensing_mod({draw(st.integers(1, 3))})"
     rounds = draw(st.integers(1, 1500))
-    stop_values = st.integers(0, rounds)
-    target = draw(st.sampled_from(["focused", "flat", "single", "plan"]))
-    if target == "single":
-        distribution = f"single({draw(st.integers(1, n))})"
-    elif target == "plan":
-        entries = draw(st.lists(
-            st.tuples(st.integers(1, rounds), st.integers(1, n), st.integers(0, 3)),
-            max_size=40))
-        distribution = {"plan": [{"round": rnd, "station": sid, "count": cnt}
-                                 for rnd, sid, cnt in entries]}
-        if entries:
-            near = sorted({rnd - d for rnd, _, _ in entries for d in (0, 1)})
-            stop_values = st.one_of(stop_values, st.sampled_from(near))
-    else:
-        distribution = target
+    distribution, stop_values = draw(distributions(n, rounds, max_entries=40))
     doc = {
         "n": n, "protocol": protocol, "rounds": rounds,
         "rho": draw(st.floats(0.01, 1.0)), "burst_p": draw(st.floats(0.01, 1.0)),

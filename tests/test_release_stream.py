@@ -9,17 +9,18 @@ adversary stream in the same state.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from channel_lab.adversary import AdversaryState, make_distribution, releases
+from channel_lab.adversary import AdversaryState, releases
 from channel_lab.core import derive_stream, validate_config
 
 from reference import StockAdversary
+from test_reference import distributions
 
 
 def compare_at_stops(doc, stops):
     """Play the stream and the reference to each stop in turn; return all events."""
     config = validate_config(doc)
     state = AdversaryState(rho=config.rho, burst_p=config.burst_p, stock_b=config.stock_b,
-                           distribution=make_distribution(config.distribution, config.n))
+                           n=config.n, distribution=config.distribution)
     rng = derive_stream(config.seed, "adversary")
     reference = StockAdversary(config)
     events = []
@@ -44,26 +45,11 @@ def stretches(draw):
     """An adversary and a run of up to 3,000 rounds cut at random stops.
 
     stock_b stays at 8 or below, so forced flushes happen next to burst
-    releases. A plan puts up to 60 entries, some with count 0, in the run,
-    and some of its stops fall just before or on an entry's round.
+    releases. A plan holds up to 60 entries (see `test_reference.distributions`).
     """
     n = draw(st.integers(2, 12))
     rounds = draw(st.integers(1, 3000))
-    stop_values = st.integers(0, rounds)
-    target = draw(st.sampled_from(["focused", "flat", "single", "plan"]))
-    if target == "single":
-        distribution = f"single({draw(st.integers(1, n))})"
-    elif target == "plan":
-        entries = draw(st.lists(
-            st.tuples(st.integers(1, rounds), st.integers(1, n), st.integers(0, 3)),
-            max_size=60))
-        distribution = {"plan": [{"round": rnd, "station": sid, "count": cnt}
-                                 for rnd, sid, cnt in entries]}
-        if entries:
-            near = sorted({rnd - d for rnd, _, _ in entries for d in (0, 1)})
-            stop_values = st.one_of(stop_values, st.sampled_from(near))
-    else:
-        distribution = target
+    distribution, stop_values = draw(distributions(n, rounds, max_entries=60))
     doc = {
         "n": n, "protocol": "round_robin", "rounds": rounds,
         "rho": draw(st.floats(0.0, 1.0, exclude_min=True)),
