@@ -136,14 +136,6 @@ def _run_cell(config):
     return run_simulation(config)
 
 
-@dataclass(frozen=True)
-class StabilityCell:
-    n: int
-    rho: float
-    seed: int
-    avg_max: float
-
-
 @dataclass
 class StabilityTable:
     """Per system size: the smallest swept rho whose mean avg-max crosses delta."""
@@ -151,31 +143,24 @@ class StabilityTable:
     delta: float
     boundaries: dict = field(default_factory=dict)       # n -> rho | None
     non_monotonic: dict = field(default_factory=dict)    # n -> [rho, ...]
-    cells: list = field(default_factory=list)            # StabilityCell rows
+    cells: list = field(default_factory=list)            # SimResult per cell, sweep order
 
 
-def stability_sweep(protocol: str, n_values, rho_grid, rounds: int, reps: int,
-                    delta: float = 1024.0, *, base_seed: int = 0,
-                    burst_p: float = 0.5, stock_b: int = 256,
-                    distribution: str = "focused") -> StabilityTable:
-    """Sweep (n, rho) cells and find where mean avg-max first exceeds delta.
+def stability_sweep(doc: dict, delta: float = 1024.0) -> StabilityTable:
+    """Run the cells of sweep document `doc`; per n, find the smallest rho
+    whose mean avg-max over the seeds exceeds delta.
 
-    The whole grid is swept (no early stop) so that a cell back below delta
-    after a crossing is reported, not hidden. Seeds base_seed..base_seed+reps-1
-    are shared across cells as common random numbers.
+    The whole grid is run (no early stop) so that a rho back below delta after
+    a crossing is reported, not hidden. Every rho runs the same seeds, which
+    act as common random numbers. The rhos may come in any order.
     """
-    doc = {"n": list(n_values), "protocol": protocol, "rho": sorted(rho_grid),
-           "rounds": rounds, "seeds": list(range(base_seed, base_seed + reps)),
-           "burst_p": burst_p, "stock_b": stock_b, "distribution": distribution}
-    table = StabilityTable(delta=delta)
-    for config in expand_sweep(doc):
-        table.cells.append(StabilityCell(config.n, config.rho, config.seed,
-                                         run_simulation(config).metrics.avg_max))
-    for n, row in itertools.groupby(table.cells, key=lambda c: c.n):
+    table = StabilityTable(delta, cells=[run_simulation(c) for c in expand_sweep(doc)])
+    by_cell = sorted(table.cells, key=lambda res: (res.config.n, res.config.rho))
+    for n, row in itertools.groupby(by_cell, key=lambda res: res.config.n):
         boundary = None
         wobbles = []
-        for rho, group in itertools.groupby(row, key=lambda c: c.rho):
-            values = [c.avg_max for c in group]
+        for rho, group in itertools.groupby(row, key=lambda res: res.config.rho):
+            values = [res.metrics.avg_max for res in group]
             crossed = sum(values) / len(values) > delta
             if crossed and boundary is None:
                 boundary = rho

@@ -97,9 +97,14 @@ class Engine:
         Counters, metric sums and the protocol's bound methods live in locals
         while the loop runs and are written back when it reaches `stop`. When
         `reports` is a list, one RoundReport per round is appended to it. A
-        `stop` at or below the current round plays nothing. A SimulationError
-        leaves the engine mid-round; it cannot be resumed.
+        `stop` at or below the current round plays nothing; one past
+        `config.rounds` raises ValueError, since the result reports that many
+        rounds. A SimulationError leaves the engine mid-round; it cannot be
+        resumed.
         """
+        if stop > self.config.rounds:
+            raise ValueError(f"cannot advance to round {stop}: the run has "
+                             f"{self.config.rounds} rounds")
         start = self.round
         if stop <= start:
             return
@@ -142,7 +147,7 @@ class Engine:
                 injected += injected_now
                 total += injected_now
                 if note_injections is not None:
-                    note_injections(injections)
+                    note_injections(r, injections)
                 next_r, injections = next(stream, NO_RELEASE)
 
             attempts, on_count = actions(r, queues)

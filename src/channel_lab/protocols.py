@@ -161,27 +161,23 @@ class FullSensingStation(TokenStation):
 
     Without control bits, a listener learns about a big station either by
     hearing a transmitter that is not its list predecessor or by waiting one
-    extra round after a collision. variant_k = 0 is the original protocol
-    (big threshold 3n); variant_k >= 1 raises the threshold to 2n + k*n and
-    makes an interrupted transmitter sleep about k*n rounds.
+    extra round after a collision. A transmitter goes big above 2n + k*n
+    packets, and an interrupted one sleeps (k-1)*n rounds past its next slot.
+    Plain `fullsensing` is k = 1 (threshold 3n, no extra sleep);
+    `fullsensing_mod(k)` sets k. A transmitter that hears a single learns from
+    own_ack whether it sent it: it is the sender exactly when it transmitted.
     """
 
-    __slots__ = ("variant_k", "transmitted", "queue_seen", "token_from_exit")
+    __slots__ = ("variant_k", "queue_seen", "token_from_exit")
 
-    def __init__(self, sid: int, n: int, variant_k: int = 0):
+    def __init__(self, sid: int, n: int, variant_k: int = 1):
         super().__init__(sid, n)
         self.variant_k = variant_k
-        self.transmitted = False
         self.queue_seen = 0
         self.token_from_exit = False
 
     def predecessor(self) -> int:
         return self.order[self.pos - 1]
-
-    def _big_threshold(self) -> int:
-        if self.variant_k >= 1:
-            return 2 * self.n + self.variant_k * self.n
-        return 3 * self.n
 
     def _slot_next_cycle(self, round_no: int) -> int:
         """This station's listening round within the cycle after round_no.
@@ -201,14 +197,11 @@ class FullSensingStation(TokenStation):
         self.queue_seen = queue_len
         if state is TRANSMITTING:
             if queue_len > 0:
-                self.transmitted = True
                 return TRANSMIT
-            self.transmitted = False
             return LISTEN  # nothing to send; stay on to read the channel
         if state is BIG:
             if queue_len == 0:
                 raise ProtocolInvariantBroken(f"big station {self.sid} has no packets")
-            self.transmitted = True
             return TRANSMIT
         if state is LISTENING:
             return LISTEN
@@ -237,12 +230,11 @@ class FullSensingStation(TokenStation):
                 # its own big-state exit learned nothing from the collision.
                 if not self.token_from_exit:
                     self.front(self.predecessor())
-                extra = (self.variant_k - 1) * n if self.variant_k >= 1 else 0
                 self.state = IDLE
-                self.wake_round = self._slot_next_cycle(round_no) + extra
+                self.wake_round = self._slot_next_cycle(round_no) + (self.variant_k - 1) * n
             elif obs.kind == "single":
-                if self.transmitted:
-                    if self.queue_seen - 1 > self._big_threshold():
+                if own_ack:
+                    if self.queue_seen - 1 > (2 + self.variant_k) * n:
                         self.state = BIG
                     else:
                         self.state = IDLE
@@ -255,7 +247,6 @@ class FullSensingStation(TokenStation):
             else:  # silence: queue was empty and no big station exists
                 self.state = IDLE
                 self.wake_round = round_no + n - 1
-            self.transmitted = False
             self.token_from_exit = False
             return
 
@@ -265,7 +256,6 @@ class FullSensingStation(TokenStation):
                 self.front(self.sid)
                 self.state = TRANSMITTING
                 self.token_from_exit = True
-            self.transmitted = False
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +344,9 @@ class ProtocolSystem:
     def finish_round(self, round_no: int, obs, success_sid, queues) -> None:
         pass
 
-    def note_injections(self, injections) -> None:
-        pass
+    def note_injections(self, round_no: int, injections) -> None:
+        """Called only when `wants_injection_notes`, in each round that injects,
+        after the queues grow and before `actions`; injections is {sid: count}."""
 
     def schedule_oracle(self):
         """round -> tuple of on-mode stations, for fixed-schedule protocols."""
@@ -426,7 +417,7 @@ class AdaptiveSystem(TokenSystem):
 
 class FullSensingSystem(TokenSystem):
     def make_station(self, sid: int, config: SimConfig) -> FullSensingStation:
-        return FullSensingStation(sid, config.n, config.protocol.variant_k or 0)
+        return FullSensingStation(sid, config.n, config.protocol.variant_k or 1)
 
 
 def _one_sender_results(n: int) -> tuple:
@@ -483,9 +474,9 @@ class BackoffSystem(ProtocolSystem):
 
     Each backlogged station is filed under the one round it drew and costs
     nothing in any other round. A station draws when a packet reaches it
-    empty (in that round's actions, since injections are noted first) and,
-    after it transmits, for the next round: on a success that leaves it
-    packets, or on a collision.
+    empty (in note_injections, for that round's window) and, after it
+    transmits, for the next round: on a success that leaves it packets, or on
+    a collision.
     """
 
     wants_feedback = True
@@ -498,7 +489,6 @@ class BackoffSystem(ProtocolSystem):
             for sid in range(1, config.n + 1)
         ]
         self.calendar: dict[int, list[int]] = {}   # slot round -> sids
-        self._fresh: list[BackoffStation] = []     # backlogged, slot not drawn yet
         self._attempted = ()                       # sids that transmitted this round
         for st, q in zip(self.stations, config.initial_queues):
             if q > 0:
@@ -507,18 +497,14 @@ class BackoffSystem(ProtocolSystem):
     def _book(self, st: BackoffStation, round_no: int) -> None:
         self.calendar.setdefault(st.draw_slot(round_no), []).append(st.sid)
 
-    def note_injections(self, injections):
+    def note_injections(self, round_no, injections):
         stations = self.stations
         for sid in injections:
             st = stations[sid - 1]
             if st.slot is None:
-                self._fresh.append(st)
+                self._book(st, round_no)
 
     def actions(self, round_no: int, queues):
-        if self._fresh:
-            for st in self._fresh:
-                self._book(st, round_no)
-            self._fresh = []
         due = self.calendar.pop(round_no, None)
         if due is None:
             self._attempted = ()
@@ -602,6 +588,8 @@ def _parse_family_file(arg: str | None, n: int) -> dict:
     except OSError as exc:
         raise MissingParameter(f"cannot read selector family file {arg!r}: {exc}",
                                "protocol") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc), "protocol") from exc
     for fam in families:
         if fam.n != n:
             raise ConfigError(f"selector family has n={fam.n}, run has n={n}", "protocol")

@@ -560,6 +560,8 @@ def load_family_file(path) -> tuple[SelectorFamily, ...]:
     elif not isinstance(doc, list):
         raise ValueError(f"{path}: a family file holds a JSON object or a list of them,"
                          f" not {json.dumps(doc)[:40]}")
+    if not doc:
+        raise ValueError(f"{path}: the family file holds no families")
     return tuple(family_from_json(item) for item in doc)
 
 

@@ -83,21 +83,33 @@ MUTANTS = [
      "if round_no % n == 0 and remaining < 2 * n:",
      "full-sensing big exit at < 2n"),
     (PROTOCOLS,
-     "extra = (self.variant_k - 1) * n if self.variant_k >= 1 else 0",
-     "extra = self.variant_k * n if self.variant_k >= 1 else 0",
+     "+ (self.variant_k - 1) * n",
+     "+ self.variant_k * n",
      "fullsensing_mod sleeps kn instead of (k-1)n"),
+    (PROTOCOLS,
+     "if self.queue_seen - 1 > (2 + self.variant_k) * n:",
+     "if self.queue_seen - 1 > (1 + self.variant_k) * n:",
+     "full-sensing big threshold (1 + k)n instead of (2 + k)n"),
+    (PROTOCOLS,
+     "                if own_ack:\n",
+     "                if True:\n",
+     "full-sensing: a transmitter always takes a single for its own"),
     (CLI,
      "if queued != result.queued_total or queued != result.injected - result.delivered:",
      "if False:",
      "the CSV writer's final-queue check removed"),
+    (CLI,
+     "by_cell = sorted(table.cells, key=lambda res: (res.config.n, res.config.rho))",
+     "by_cell = table.cells",
+     "stability_sweep groups unsorted cells"),
     # Backoff driver.
     (PROTOCOLS,
      "                self._book(st, round_no)\n",
      "                self._book(st, round_no + 1)\n",
      "backoff: a fresh station draws in the window one round late"),
     (PROTOCOLS,
-     "            if st.slot is None:\n                self._fresh.append(st)",
-     "            self._fresh.append(st)",
+     "            if st.slot is None:\n                self._book(st, round_no)",
+     "            self._book(st, round_no)",
      "backoff: a booked station draws again on an injection"),
     (PROTOCOLS,
      "        due.sort()\n",

@@ -118,7 +118,7 @@ class ObserverListTokenDriver(Driver):
         if config.protocol.name == "adaptive":
             self.stations = [AdaptiveStation(sid, config.n) for sid in sids]
         else:
-            k = config.protocol.variant_k or 0
+            k = config.protocol.variant_k or 1
             self.stations = [FullSensingStation(sid, config.n, k) for sid in sids]
         self.calendar = {}
         self.active = [s for s in self.stations if s.state is not IDLE]

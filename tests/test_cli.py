@@ -298,29 +298,32 @@ class TestStabilitySweep:
     def test_adaptive_never_crosses_delta(self):
         # For n=4 the worst-case bound on total queued is far below 1024, so
         # the boundary cannot exist at any injection rate.
-        table = stability_sweep("adaptive", [4], [0.5, 1.0], rounds=20_000,
-                                reps=2, delta=1024.0)
+        table = stability_sweep({"n": 4, "protocol": "adaptive", "rho": [0.5, 1.0],
+                                 "rounds": 20_000, "seeds": 2}, delta=1024.0)
         assert table.boundaries[4] is None
         assert not table.non_monotonic
 
     def test_round_robin_destabilizes_above_its_capacity(self):
         # Focused load on station 1 exceeds its 1/n service share beyond
         # rho = 0.6 at n=4; the grid should cross between 0.4 and 0.8.
-        table = stability_sweep("round_robin", [4], [0.2, 0.4, 0.8],
-                                rounds=100_000, reps=2, delta=1024.0)
+        table = stability_sweep({"n": 4, "protocol": "round_robin", "rho": [0.2, 0.4, 0.8],
+                                 "rounds": 100_000, "seeds": 2}, delta=1024.0)
         assert table.boundaries[4] == 0.8
 
     def test_cells_are_recorded_for_every_run(self):
-        table = stability_sweep("state_aware", [4, 8], [0.3, 0.6], rounds=1000,
-                                reps=3, delta=1024.0)
+        doc = {"n": [4, 8], "protocol": "state_aware", "rho": [0.3, 0.6], "rounds": 1000,
+               "seeds": 3}
+        table = stability_sweep(doc, delta=1024.0)
+        assert table.cells == [run_simulation(config) for config in expand_sweep(doc)]
         assert len(table.cells) == 2 * 2 * 3
-        assert {c.n for c in table.cells} == {4, 8}
+        assert {res.config.n for res in table.cells} == {4, 8}
 
     def test_non_monotone_cells_are_flagged_not_hidden(self, monkeypatch):
         # A cell back below delta after the crossing must be reported, not
         # masked. The runs are replaced by a fixed grid of avg-max values:
         # at n=4 the mean crosses 1024 at rho 0.6, dips to 1000 at 0.7 and
-        # crosses again at 0.8; n=8 crosses once, at 0.7.
+        # crosses again at 0.8; n=8 crosses once, at 0.7. The document lists
+        # the rhos out of order.
         avg_max = {
             4: {0.5: (10, 30), 0.6: (2000, 1500), 0.7: (900, 1100), 0.8: (3000, 2500)},
             8: {0.5: (10, 30), 0.6: (100, 200), 0.7: (1100, 1000), 0.8: (4000, 5000)},
@@ -328,14 +331,26 @@ class TestStabilitySweep:
 
         def fixed_run(config):
             value = avg_max[config.n][config.rho][config.seed - 3]
-            return SimpleNamespace(metrics=SimpleNamespace(avg_max=value))
+            return SimpleNamespace(config=config, metrics=SimpleNamespace(avg_max=value))
 
         monkeypatch.setattr(cli, "run_simulation", fixed_run)
-        table = stability_sweep("round_robin", [4, 8], [0.8, 0.5, 0.7, 0.6], rounds=10,
-                                reps=2, delta=1024.0, base_seed=3)
+        table = stability_sweep({"n": [4, 8], "protocol": "round_robin",
+                                 "rho": [0.8, 0.5, 0.7, 0.6], "rounds": 10, "seeds": [3, 4]},
+                                delta=1024.0)
         assert len(table.cells) == 2 * 4 * 2
         assert table.boundaries == {4: 0.6, 8: 0.7}
         assert table.non_monotonic == {4: [0.7]}
+
+    def test_fullsensing_boundary_depends_on_the_starting_queues(self):
+        # Full-sensing's threshold depends on a loaded start: from empty
+        # queues n=8 stays drained at rho 0.92 (mean avg-max about 13), while
+        # 3n packets per station keep it big and growing (about 280).
+        doc = {"n": 8, "protocol": "fullsensing", "rho": [0.8, 0.92], "rounds": 20_000,
+               "seeds": 2, "distribution": "flat"}
+        assert stability_sweep(doc, delta=100).boundaries == {8: None}
+        loaded = stability_sweep(dict(doc, initial_queues=[24] * 8), delta=100)
+        assert loaded.boundaries == {8: 0.92}
+        assert not loaded.non_monotonic
 
 
 class TestSelectorCommands:
@@ -378,6 +393,23 @@ class TestSelectorCommands:
         assert dispatch(["selector", "verify", "--family", str(path), "--exact"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "family file" in err
+
+    def test_verify_rejects_an_empty_family_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]\n")
+        assert dispatch(["selector", "verify", "--family", str(path), "--exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no families" in captured.err
+
+    def test_run_rejects_an_interleaved_family_file_holding_no_families(self, tmp_path, capsys):
+        family = tmp_path / "empty.json"
+        family.write_text("[]\n")
+        path = write_config(tmp_path, protocol=f"interleaved({family})")
+        assert dispatch(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no families" in captured.err
 
     def test_run_rejects_an_interleaved_family_file_holding_null(self, tmp_path, capsys):
         family = tmp_path / "null.json"

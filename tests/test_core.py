@@ -118,6 +118,14 @@ class TestProtocolField:
         with pytest.raises(MissingParameter):
             validate_config(dict(BASE, protocol="interleaved(/no/such/file.json)"))
 
+    @pytest.mark.parametrize("document", ["[]", "5"])
+    def test_interleaved_refuses_a_family_file_without_families(self, tmp_path, document):
+        path = tmp_path / "family.json"
+        path.write_text(document + "\n")
+        with pytest.raises(ConfigError) as info:
+            validate_config(dict(BASE, n=8, protocol=f"interleaved({path})"))
+        assert info.value.field == "protocol"
+
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             validate_config(dict(BASE, protocol="csma"))

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,19 @@ class TestAdvance:
         assert stepped.acc.snapshot() == at_500
         assert stepped.run() == expected
 
+    def test_advancing_past_the_configured_rounds_is_refused(self):
+        # The result reports config.rounds, so a run may not be played past it.
+        eng = Engine({"n": 4, "protocol": "round_robin", "rho": 0.5, "rounds": 100,
+                      "seed": 1})
+        with pytest.raises(ValueError, match="round 250.*100 rounds"):
+            eng.advance(250)
+        assert eng.round == 0
+        eng.advance(100)
+        with pytest.raises(ValueError, match="round 101.*100 rounds"):
+            eng.step()
+        result = eng.run()
+        assert result.metrics.rounds == result.config.rounds == 100
+
 
 def test_advance_draws_nothing_past_its_stop():
     # At rho = 1e-9 the next release is about 10**9 rounds away; an
@@ -228,6 +242,40 @@ def test_advance_draws_nothing_past_its_stop():
             fresh.random()
         assert eng.rng_adversary.getstate() == fresh.getstate()
     assert eng.injected == 0
+
+
+def fullsensing_pair(doc):
+    """The outcome of `doc` under `fullsensing` and under `fullsensing_mod(1)`."""
+    outcomes = []
+    for protocol in ("fullsensing", "fullsensing_mod(1)"):
+        try:
+            result = run_simulation(dict(doc, protocol=protocol))
+        except RestrainViolation as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(dataclasses.replace(result, config=None))
+    return outcomes
+
+
+class TestFullSensingIsModOne:
+    # Plain fullsensing is fullsensing_mod(1): big threshold 2n + 1*n = 3n and
+    # no extra sleep after an interruption.
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "rho": 0.9, "rounds": 20_000, "seed": 1, "initial_queues": [9] * 3},
+        {"n": 5, "rho": 0.8, "rounds": 20_000, "seed": 2, "distribution": "flat",
+         "initial_queues": [15] * 5},
+        {"n": 8, "rho": 0.95, "rounds": 20_000, "seed": 3, "initial_queues": [24] * 8},
+    ])
+    def test_same_result_under_both_names(self, doc):
+        # Loaded starts, so big stations and interrupted transmitters occur.
+        plain, mod_one = fullsensing_pair(doc)
+        assert plain == mod_one
+        assert plain.collisions > 0
+
+    def test_same_restrain_violation_under_both_names(self):
+        plain, mod_one = fullsensing_pair({"n": 5, "rho": 0.95, "rounds": 40_000, "seed": 6,
+                                           "distribution": "flat"})
+        assert plain == mod_one == (RestrainViolation, "round 4188: 4 stations on, limit 3")
 
 
 class TestRunSimulation:
@@ -284,7 +332,7 @@ class TestAdaptiveTraceInvariants:
     def test_lists_stay_synchronized_at_cycle_starts(self):
         # The front-move is announced over one full cycle; sync is asserted at
         # every cycle boundary with no handoff announcement still in flight.
-        eng = Engine(config(protocol="adaptive", rho=1.0, rounds=0,
+        eng = Engine(config(protocol="adaptive", rho=1.0, rounds=20_000,
                             distribution="single(3)"))
         checked = 0
         for r in range(1, 20_000):
@@ -296,7 +344,7 @@ class TestAdaptiveTraceInvariants:
         assert checked > 100
 
     def test_exactly_one_token_holder_and_listener_every_round(self):
-        eng = Engine(config(protocol="adaptive", rho=0.9, rounds=0))
+        eng = Engine(config(protocol="adaptive", rho=0.9, rounds=10_000))
         for r in range(1, 10_000):
             eng.step()
             holders = [st.sid for st in eng.system.stations

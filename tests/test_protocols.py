@@ -31,7 +31,7 @@ def adaptive_in(state, n=N, order=None, wake=0):
     return st
 
 
-def fullsensing_in(state, n=N, sid=1, variant_k=0, order=None):
+def fullsensing_in(state, n=N, sid=1, variant_k=1, order=None):
     st = with_order(FullSensingStation(sid, n, variant_k), order)
     st.state = state
     return st
@@ -396,7 +396,7 @@ class TestBackoffSystem:
         slot, state = station.slot, station.rng.getstate()
         assert slot in (2, 3)
         queues[0] += 1
-        system.note_injections({1: 1})
+        system.note_injections(2, {1: 1})
         system.actions(2, queues)
         assert station.slot == slot
         assert station.rng.getstate() == state
@@ -404,13 +404,13 @@ class TestBackoffSystem:
     def test_injection_into_an_empty_station_draws_once(self):
         system = BackoffSystem(backoff_config(n=2))
         station = system.stations[1]
-        state = station.rng.getstate()
-        system.note_injections({2: 3})
-        assert station.rng.getstate() == state           # drawn in actions, not here
-        attempts, _ = system.actions(7, [0, 3])
-        assert attempts == [(2, None)] and station.slot == 7
+        system.note_injections(7, {2: 3})                # drawn here, for round 7
+        assert station.slot == 7 and system.calendar == {7: [2]}
         reference = derive_stream(11, "backoff.2")
         reference.randrange(1)                           # window(0) = 1 still draws
+        assert station.rng.getstate() == reference.getstate()
+        attempts, _ = system.actions(7, [0, 3])
+        assert attempts == [(2, None)]
         assert station.rng.getstate() == reference.getstate()
 
     @pytest.mark.parametrize("kind", ["exponential", "linear", "square"])

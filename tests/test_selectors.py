@@ -368,6 +368,12 @@ class TestJsonInterchange:
         sel.save_family_file(path, fams)
         assert sel.load_family_file(path) == tuple(fams)
 
+    def test_empty_list_raises(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]\n")
+        with pytest.raises(ValueError, match="no families"):
+            sel.load_family_file(path)
+
     def test_malformed_document_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 4}))
